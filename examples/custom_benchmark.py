@@ -19,7 +19,7 @@ import numpy as np
 from repro.apps.profiles import AppKind, BenchmarkSpec, build_profile
 from repro.chip import default_chip
 from repro.core import ParmManager
-from repro.noc import ArrayNocEngine
+from repro.noc import BatchedNocEngine
 from repro.noc.cycle import TrafficFlow
 from repro.noc.routing import make_routing
 from repro.pdn.fast import FastPsnModel
@@ -94,10 +94,10 @@ def main():
     print(f"\nReplaying {len(flows)} flows on the cycle-accurate NoC "
           f"(10000 cycles):")
     for routing_name in ("xy", "panr"):
-        sim = ArrayNocEngine(
-            chip.mesh, make_routing(routing_name), psn_pct=psn, seed=1
+        sim = BatchedNocEngine(
+            chip.mesh, make_routing(routing_name), psn_pct=psn
         )
-        stats = sim.run(flows, 10000)
+        (stats,) = sim.run([flows], 10000)
         crossing = sum(stats.router_flits_per_cycle[t] for t in noisy)
         print(
             f"  {routing_name.upper():>4s}: avg latency "

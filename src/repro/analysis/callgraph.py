@@ -7,14 +7,14 @@ grows parmlint a whole-program view:
 
 * **Indexing** — every module-level function, class method, nested
   ``def`` and ``lambda`` becomes a :class:`CallGraphNode` with a stable
-  qualified name (``repro.exp.routing_sweep.run_point``,
+  qualified name (``repro.exp.routing_sweep.run_batch``,
   ``repro.harness.supervisor.CellExecutor.run_cell``,
   ``pkg.mod.outer.<locals>.inner``).
 * **Alias-aware call resolution** — call edges are resolved through
   ``import``/``from``/``as`` aliases (absolute and relative), module
   attribute chains (``parallel.map_tasks``), ``self`` method calls
   (including project base classes and ``super()``), locally inferred
-  variable types (``engine = ArrayNocEngine(...); engine.run(...)``),
+  variable types (``engine = BatchedNocEngine(...); engine.run(...)``),
   instance-attribute types assigned in any method of a class, and
   module-level function aliases (``g = f``).
 * **Conservative unknown-call handling** — calls that cannot be

@@ -13,7 +13,7 @@ back to one of:
   whose returns all trace there — call summaries are computed to a
   fixpoint over the project);
 * an explicit function parameter (the caller owns provenance — e.g.
-  ``def run_point(point): rng = default_rng(point.seed)``);
+  ``def run_batch(points): rng = default_rng(points[0].seed)``);
 * a whitelisted pure converter of the above (``int``, ``abs``,
   ``zip``/``enumerate``/``sorted``/``tuple``/``list``/``min``/``max``).
 

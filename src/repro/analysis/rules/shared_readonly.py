@@ -8,7 +8,7 @@ worse, a silent cross-worker divergence today.
 
 Classes opt in by declaring the contract as a plain class attribute::
 
-    class ArrayNocEngine:
+    class BatchedNocEngine:
         __shared_readonly__ = ("_route_table", "_down_tile")
         __shared_readonly_init__ = ("_build_route_columns",)  # optional
 

@@ -29,7 +29,7 @@ from repro.core.clustering import cluster_tasks
 from repro.core.placement import place_clusters
 from repro.core.selection import ParmManager
 from repro.noc.cycle import TrafficFlow
-from repro.noc.engine import ArrayNocEngine
+from repro.noc.batch import BatchedNocEngine
 from repro.noc.routing import PanrRouting, make_routing
 from repro.runtime.simulator import RuntimeSimulator
 from repro.runtime.state import ChipState
@@ -50,7 +50,6 @@ class BufferThresholdRow:
 def buffer_threshold_sweep(
     thresholds: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     cycles: int = 5000,
-    seed: int = 0,
 ) -> List[BufferThresholdRow]:
     """PANR router throughput/latency vs the congestion threshold B.
 
@@ -76,13 +75,10 @@ def buffer_threshold_sweep(
     ]
     rows = []
     for threshold in thresholds:
-        sim = ArrayNocEngine(
-            mesh,
-            PanrRouting(buffer_threshold=threshold),
-            psn_pct=psn,
-            seed=seed,
+        sim = BatchedNocEngine(
+            mesh, PanrRouting(buffer_threshold=threshold), psn_pct=psn
         )
-        stats = sim.run(flows, cycles)
+        (stats,) = sim.run([flows], cycles)
         noisy = float(
             sum(
                 stats.router_flits_per_cycle[t]

@@ -263,11 +263,9 @@ def fault_noc_sweep(
     per-tile PSN field via :class:`~repro.faults.state.FaultState`, and
     the flit-level engine runs uniform-random traffic under that field
     for every policy.  All of a policy's (intensity, seed) grid points
-    are lanes of one :func:`~repro.noc.batch.simulate_lanes` call, so
-    context-free policies (XY) advance as a single
-    :class:`~repro.noc.batch.BatchedNocEngine` pass and adaptive ones
-    (PANR) fall back per-lane - each lane byte-identical to a scalar
-    run either way.
+    are lanes of one :class:`~repro.noc.batch.BatchedNocEngine` pass,
+    each lane with its own PSN field and byte-identical to a legacy
+    oracle run.
 
     Traffic is re-used across intensities (one pattern per seed), so
     rows measure pure fault-load response, not traffic noise.
@@ -280,7 +278,7 @@ def fault_noc_sweep(
         ConfigError: on empty grids or out-of-range parameters.
     """
     from repro.harness.seeding import derive_seed
-    from repro.noc.batch import LaneSpec, simulate_lanes
+    from repro.noc.batch import BatchedNocEngine
     from repro.noc.cycle.simulator import TrafficFlow
     from repro.noc.routing import make_routing
 
@@ -353,20 +351,15 @@ def fault_noc_sweep(
                 NOC_SWEEP_QUIET_PSN_PCT + state.droop_pct
             )
 
+    grid = [(i, s) for i in intensities for s in seeds]
+    lane_psn = np.stack([psn_of[cell] for cell in grid])
+    lane_flows = [flows_of[seed] for _, seed in grid]
     rows: List[FaultNocRow] = []
     for policy in policies:
-        grid = [(i, s) for i in intensities for s in seeds]
-        lanes = [
-            LaneSpec(
-                flows=flows_of[seed],
-                seed=derive_seed(seed, "exp/faults/noc-sim", 0),
-                psn_pct=tuple(float(v) for v in psn_of[(intensity, seed)]),
-            )
-            for intensity, seed in grid
-        ]
-        stats_list = simulate_lanes(
-            mesh, make_routing(policy), lanes, cycles
+        engine = BatchedNocEngine(
+            mesh, make_routing(policy), n_lanes=len(grid), psn_pct=lane_psn
         )
+        stats_list = engine.run(lane_flows, cycles)
         by_cell: Dict[float, List] = {i: [] for i in intensities}
         for (intensity, _), stats in zip(grid, stats_list):
             by_cell[intensity].append(stats)

@@ -1,28 +1,22 @@
 """Routing-policy sweep: latency and throughput vs injection rate.
 
 Extension experiment comparing the paper's PANR against XY, odd-even
-and ICON on the flit-level mesh model, across offered load.  Each sweep
-point runs the fast :class:`~repro.noc.engine.ArrayNocEngine` (pinned
-flit-for-flit equivalent of the legacy cycle simulator) on an 8x8 mesh
-with a synthetic PSN hotspot band across the middle rows - the setting
-where PSN-aware adaptivity should pay off - under uniform-random
-traffic.
+and ICON on the flit-level mesh model, across offered load.  Sweep
+points run on the :class:`~repro.noc.batch.BatchedNocEngine` (every
+lane pinned flit-for-flit equivalent of the legacy cycle simulator) on
+an 8x8 mesh with a synthetic PSN hotspot band across the middle rows -
+the setting where PSN-aware adaptivity should pay off - under
+uniform-random traffic.
 
-Points are pure functions of their :class:`SweepPoint` spec, so the
-sweep fans across :func:`repro.perf.parallel.map_tasks` workers and the
-resulting table is byte-identical to a serial run for any worker count
+Each policy's (rate, seed) grid becomes the lanes of one
+:func:`run_batch` task, which advances every lane in one vectorised
+lock-step pass.  Tasks are pure functions of their
+:class:`SweepPoint` specs, so the sweep fans across
+:func:`repro.perf.parallel.map_tasks` workers and the resulting table
+is byte-identical to a serial run for any worker count
 (``tests/exp/test_routing_sweep.py`` pins this).  Per-point seeds are
 deterministic: seed ``s`` always produces the same traffic pattern, and
 every policy sees the identical pattern for a fair comparison.
-
-Context-free policies (XY, west-first, odd-even) do not fan out per
-point: all of a policy's (rate, seed) grid points become lanes of one
-:class:`~repro.noc.batch.BatchedNocEngine` run (:func:`run_batch`),
-which advances every lane in one vectorised lock-step pass.  Each lane
-is pinned flit-for-flit identical to the scalar engine, so the rows are
-byte-identical to the per-point path; only adaptive policies (PANR,
-ICON), whose routing reads live congestion state, still run one
-:func:`run_point` task per grid point.
 
 ``python -m repro routing`` drives this module from the command line;
 the ``routing`` report section embeds the same table.
@@ -38,7 +32,6 @@ import numpy as np
 
 from repro.chip.mesh import MeshGeometry
 from repro.noc.cycle.simulator import TrafficFlow
-from repro.noc.engine import ArrayNocEngine
 from repro.noc.routing import make_routing
 
 #: Policies compared by default (evaluation names of ``make_routing``).
@@ -145,48 +138,18 @@ def _point_result(point: SweepPoint, stats) -> PointResult:
     )
 
 
-def run_point(point: SweepPoint) -> PointResult:
-    """Simulate one sweep point (module-level: the ``map_tasks`` task).
-
-    Inside a warm pool worker the engine adopts the shared topology and
-    pre-built route table for this mesh/policy when published; both
-    hold exactly the values the engine would compute itself, so the
-    result is byte-identical either way.
-    """
-    from repro.perf.pool import warm_world
-
-    mesh = MeshGeometry(point.mesh_width, point.mesh_height)
-    flows = uniform_random_flows(
-        mesh, point.injection_rate_flits, point.seed, point.packet_size_flits
-    )
-    topology = route_table = None
-    world = warm_world()
-    if world is not None:
-        topology = world.topology(point.mesh_width, point.mesh_height)
-        route_table = world.route_table(
-            point.mesh_width, point.mesh_height, point.policy
-        )
-    engine = ArrayNocEngine(
-        mesh,
-        make_routing(point.policy),
-        psn_pct=hotspot_psn(mesh),
-        seed=point.seed,
-        topology=topology,
-        route_table=route_table,
-    )
-    return _point_result(point, engine.run(flows, point.cycles))
-
-
 def run_batch(points: Sequence[SweepPoint]) -> List[PointResult]:
-    """Simulate one context-free policy's grid points as a single batch.
+    """Simulate one policy's grid points as a single batch.
 
     Module-level ``map_tasks`` task: every point becomes one lane of a
     :class:`~repro.noc.batch.BatchedNocEngine`, so the whole group
-    advances through shared vectorised phases instead of running one
-    scalar engine per point.  Each lane is pinned flit-for-flit
-    identical to the scalar engine, so the returned results match
-    :func:`run_point` byte for byte.  Points must agree on everything
-    except rate and seed - :func:`routing_sweep` groups them that way.
+    advances through shared vectorised phases.  Each lane is pinned
+    flit-for-flit identical to the legacy oracle.  Points must agree on
+    everything except rate and seed - :func:`routing_sweep` groups them
+    that way.  Inside a warm pool worker the engine adopts the shared
+    topology and, for context-free policies, the pre-built route table
+    for this mesh/policy; both hold exactly the values the engine would
+    compute itself, so the result is byte-identical either way.
     """
     from repro.harness.errors import ConfigError
     from repro.noc.batch import BatchedNocEngine
@@ -224,7 +187,6 @@ def run_batch(points: Sequence[SweepPoint]) -> List[PointResult]:
         make_routing(first.policy),
         n_lanes=len(points),
         psn_pct=hotspot_psn(mesh),
-        seeds=[p.seed for p in points],
         topology=topology,
         route_table=route_table,
     )
@@ -247,14 +209,11 @@ def routing_sweep(
 ) -> List[SweepRow]:
     """Latency/throughput vs injection rate for each routing policy.
 
-    Context-free policies pack their whole (rate, seed) grid into one
-    :func:`run_batch` lock-step task each; adaptive policies fan one
-    :func:`run_point` task per grid point.  Both task kinds go through
-    :func:`repro.perf.parallel.map_tasks` and every task is a pure
+    Every policy packs its whole (rate, seed) grid into one
+    :func:`run_batch` lock-step task, fanned through
+    :func:`repro.perf.parallel.map_tasks`.  Every task is a pure
     function of its spec, so the returned rows are identical for any
-    worker count - and byte-identical to the historical all-scalar
-    path, because each batch lane is pinned flit-for-flit against the
-    scalar engine.
+    worker count.
 
     Returns:
         One seed-averaged :class:`SweepRow` per (policy, rate), in
@@ -276,20 +235,14 @@ def routing_sweep(
         for rate in rates
         for seed in seeds
     ]
-    batch_groups = [
+    groups = [
         tuple(p for p in points if p.policy == policy)
-        for policy in policies
-        if make_routing(policy).context_free
-    ]
-    scalar_points = [
-        p for p in points if not make_routing(p.policy).context_free
+        for policy in dict.fromkeys(policies)
     ]
     by_point: Dict[SweepPoint, PointResult] = {}
-    for group_results in map_tasks(run_batch, batch_groups, workers):
+    for group_results in map_tasks(run_batch, groups, workers):
         for result in group_results:
             by_point[result.point] = result
-    for result in map_tasks(run_point, scalar_points, workers):
-        by_point[result.point] = result
     results = [by_point[point] for point in points]
 
     grouped: Dict[Tuple[str, float], List[PointResult]] = {}
@@ -346,8 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro routing",
         description=(
-            "Routing-policy latency/throughput sweep on the array NoC "
-            "engine (XY / odd-even / ICON / PANR)."
+            "Routing-policy latency/throughput sweep on the batched "
+            "NoC engine (XY / odd-even / ICON / PANR)."
         ),
     )
     parser.add_argument(

@@ -16,12 +16,10 @@ built-in:
   framework under a seeded fault campaign at a given intensity (a
   bounded mean in [0, 1]; pairs with the Hoeffding interval).
 * :class:`PacketLatencyEstimand` - one uniformly chosen delivered-packet
-  latency from a seeded :class:`~repro.noc.engine.ArrayNocEngine` run
+  latency from a seeded :class:`~repro.noc.batch.BatchedNocEngine` run
   (i.i.d. by construction, so the DKW quantile band applies cleanly).
-  Context-free policies also expose ``sample_batch``, which advances a
-  whole batch of replicas as lanes of one
-  :class:`~repro.noc.batch.BatchedNocEngine` pass with byte-identical
-  values.
+  ``sample_batch`` advances a whole batch of replicas as lanes of one
+  engine pass with values byte-identical to one-lane ``sample`` runs.
 
 Sub-streams inside one replica (workload vs campaign vs simulator, or
 traffic vs pick) are split with :func:`repro.harness.seeding.derive_seed`
@@ -469,36 +467,16 @@ class PacketLatencyEstimand:
 
     def sample(self, seed: int) -> float:
         """One replicate: one uniformly chosen delivered-packet latency."""
-        from repro.chip.mesh import MeshGeometry
-        from repro.exp.routing_sweep import hotspot_psn, uniform_random_flows
-        from repro.noc.engine import ArrayNocEngine
-        from repro.noc.routing import make_routing
-
-        mesh = MeshGeometry(self.mesh_width, self.mesh_height)
-        traffic_seed = derive_seed(seed, "verify/latency/traffic", 0)
-        flows = uniform_random_flows(
-            mesh,
-            self.injection_rate_flits,
-            traffic_seed,
-            self.packet_size_flits,
-        )
-        engine = ArrayNocEngine(
-            mesh,
-            make_routing(self.policy),
-            psn_pct=hotspot_psn(mesh),
-            seed=traffic_seed,
-        )
-        return self._pick_latency(seed, engine.run(flows, self.cycles))
+        return self.sample_batch([seed])[0]
 
     def sample_batch(self, seeds: Sequence[int]) -> List[float]:
         """Replicates for many seeds in one batched engine pass.
 
-        Byte-identical to ``[self.sample(s) for s in seeds]``: every
-        replica keeps its own derived traffic/pick sub-streams, and for
-        context-free policies the replicas advance as lanes of one
+        Every replica keeps its own derived traffic/pick sub-streams and
+        advances as one lane of a
         :class:`~repro.noc.batch.BatchedNocEngine` (each lane pinned
-        flit-for-flit against the scalar engine).  Adaptive policies
-        fall back to the scalar per-seed path.
+        flit-for-flit against the legacy oracle), so the values do not
+        depend on how seeds are grouped into batches.
         """
         from repro.chip.mesh import MeshGeometry
         from repro.exp.routing_sweep import hotspot_psn, uniform_random_flows
@@ -508,28 +486,21 @@ class PacketLatencyEstimand:
         seeds = list(seeds)
         if not seeds:
             return []
-        routing = make_routing(self.policy)
-        if not routing.context_free:
-            return [self.sample(seed) for seed in seeds]
         mesh = MeshGeometry(self.mesh_width, self.mesh_height)
-        traffic_seeds = [
-            derive_seed(seed, "verify/latency/traffic", 0) for seed in seeds
-        ]
         flows = [
             uniform_random_flows(
                 mesh,
                 self.injection_rate_flits,
-                traffic_seed,
+                derive_seed(seed, "verify/latency/traffic", 0),
                 self.packet_size_flits,
             )
-            for traffic_seed in traffic_seeds
+            for seed in seeds
         ]
         engine = BatchedNocEngine(
             mesh,
-            routing,
+            make_routing(self.policy),
             n_lanes=len(seeds),
             psn_pct=hotspot_psn(mesh),
-            seeds=traffic_seeds,
         )
         stats_list = engine.run(flows, self.cycles)
         return [

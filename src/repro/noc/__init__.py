@@ -12,20 +12,17 @@ to its evaluation:
 * **ICON** - the prior-work baseline [22], adaptive on *router* activity
   only (core PSN ignored).
 
-Two network models share these policies: a flit-level cycle simulator
-(:mod:`repro.noc.cycle`) used for micro-experiments such as the buffer
+Two network models share these policies: a flit-level cycle model used
+for micro-experiments such as the routing sweep and the buffer
 threshold ablation, and a flow-based analytical model
 (:mod:`repro.noc.analytical`) fast enough to sit inside the runtime loop
 while preserving the routing-policy-dependent link loads and latencies.
-The cycle model has two interchangeable implementations: the readable
-object-per-flit :class:`~repro.noc.cycle.CycleNocSimulator` reference
-and the structure-of-arrays :class:`~repro.noc.engine.ArrayNocEngine`
-fast path, pinned flit-for-flit identical by the equivalence suite.
-For sweeps, :class:`~repro.noc.batch.BatchedNocEngine` advances many
-independent context-free simulations in one vectorised lock-step pass
-(every lane equally pinned against the oracle); use
-:func:`~repro.noc.batch.simulate_lanes` to batch where possible and
-fall back per-lane for adaptive policies.
+The cycle model has two implementations: the readable object-per-flit
+:class:`~repro.noc.cycle.CycleNocSimulator` oracle and the
+structure-of-arrays :class:`~repro.noc.batch.BatchedNocEngine` fast
+path, which advances one or many independent simulations (lanes) in one
+vectorised lock-step pass for every policy, each lane pinned
+flit-for-flit identical to the oracle by the equivalence suites.
 """
 
 from repro.noc.topology import Direction, MeshTopology
@@ -39,8 +36,7 @@ from repro.noc.routing import (
     make_routing,
 )
 from repro.noc.analytical import AnalyticalNocModel, Flow, NocLoadReport
-from repro.noc.batch import BatchedNocEngine, LaneSpec, simulate_lanes
-from repro.noc.engine import ArrayNocEngine
+from repro.noc.batch import BatchedNocEngine
 from repro.noc.overhead import panr_router_overhead, OverheadReport
 
 __all__ = [
@@ -54,10 +50,7 @@ __all__ = [
     "IconRouting",
     "make_routing",
     "AnalyticalNocModel",
-    "ArrayNocEngine",
     "BatchedNocEngine",
-    "LaneSpec",
-    "simulate_lanes",
     "Flow",
     "NocLoadReport",
     "panr_router_overhead",

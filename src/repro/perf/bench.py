@@ -19,9 +19,11 @@ against a committed baseline (see ``docs/performance.md``):
   speedup); the parallel leg runs against a pre-warmed pool so it
   times steady-state task throughput, not spawn cost;
 * ``noc_engine_legacy`` / ``noc_engine_array`` - the flit-level cycle
-  model at 8x8 saturation: object-per-flit reference vs the
-  structure-of-arrays engine (plus ``noc_engine_array_adaptive`` for
-  the PANR context-assembly path);
+  model at 8x8 saturation: object-per-flit reference vs a one-lane
+  :class:`~repro.noc.batch.BatchedNocEngine` run (plus
+  ``noc_engine_array_adaptive`` for the PANR context-assembly path);
+* ``noc_engine_batch_loop`` / ``noc_engine_batched`` - a context-free
+  sweep as a loop of one-lane engines vs one S-lane lock-step batch;
 * ``lint_deep`` - one cold-cache interprocedural parmlint run over
   ``src/repro`` (call-graph build plus every rule);
 * ``routing_sweep_serial`` / ``routing_sweep_parallel`` - the
@@ -346,7 +348,6 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
     from repro.exp.routing_sweep import hotspot_psn, uniform_random_flows
     from repro.noc.batch import BatchedNocEngine
     from repro.noc.cycle import CycleNocSimulator
-    from repro.noc.engine import ArrayNocEngine
     from repro.noc.routing import make_routing
 
     mesh = MeshGeometry(8, 8)
@@ -356,24 +357,26 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
     cycles = 1000 if quick else 2000
     repeats = 3 if quick else 5
 
+    def one_lane(policy: str, lane_flows: Any, run_cycles: int) -> Any:
+        (stats,) = BatchedNocEngine(
+            mesh, make_routing(policy), psn_pct=psn
+        ).run([lane_flows], run_cycles)
+        return stats
+
     def legacy() -> None:
         CycleNocSimulator(
             mesh, make_routing("xy"), psn_pct=psn, seed=3
         ).run(flows, cycles)
 
     def array() -> None:
-        ArrayNocEngine(
-            mesh, make_routing("xy"), psn_pct=psn, seed=3
-        ).run(flows, cycles)
+        one_lane("xy", flows, cycles)
 
     def adaptive() -> None:
-        ArrayNocEngine(
-            mesh, make_routing("panr"), psn_pct=psn, seed=3
-        ).run(flows, cycles)
+        one_lane("panr", flows, cycles)
 
     # The batched pair: a context-free sweep (rates x seeds) run as a
-    # loop of fresh scalar engines - exactly what a serial sweep did
-    # before batching - vs one BatchedNocEngine advancing every lane in
+    # loop of fresh one-lane engines - what a serial sweep does without
+    # batching - vs one BatchedNocEngine advancing every lane in
     # lock-step.  Full mode is the acceptance workload: 32 lanes on the
     # 8x8 mesh.
     batch_rates = (0.05, 0.15, 0.25, 0.35)
@@ -384,48 +387,48 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
         for r in batch_rates
         for s in batch_seeds
     ]
-    lane_seeds = [s for _ in batch_rates for s in batch_seeds]
 
-    def batch_loop() -> List[Any]:
+    def batch_loop(policy: str = "xy", lanes: Any = batch_lanes) -> List[Any]:
         return [
-            ArrayNocEngine(
-                mesh, make_routing("xy"), psn_pct=psn, seed=seed
-            ).run(lane_flows, batch_cycles)
-            for lane_flows, seed in zip(batch_lanes, lane_seeds)
+            one_lane(policy, lane_flows, batch_cycles) for lane_flows in lanes
         ]
 
-    def batched() -> List[Any]:
+    def batched(policy: str = "xy", lanes: Any = batch_lanes) -> List[Any]:
         return BatchedNocEngine(
-            mesh,
-            make_routing("xy"),
-            n_lanes=len(batch_lanes),
-            psn_pct=psn,
-            seeds=lane_seeds,
-        ).run(batch_lanes, batch_cycles)
+            mesh, make_routing(policy), n_lanes=len(lanes), psn_pct=psn
+        ).run(lanes, batch_cycles)
 
     # Identity before timing: every batch lane must be flit-for-flit
-    # identical to its scalar run (stats equality covers injected /
-    # delivered counts, every latency sample and per-router activity).
-    for lane, (scalar_stats, batch_stats) in enumerate(
-        zip(batch_loop(), batched())
-    ):
-        if (
-            scalar_stats.packets_injected != batch_stats.packets_injected
-            or scalar_stats.packets_delivered
-            != batch_stats.packets_delivered
-            or scalar_stats.flits_delivered != batch_stats.flits_delivered
-            or scalar_stats.packet_latencies
-            != batch_stats.packet_latencies
-            or not np.array_equal(
-                scalar_stats.router_flits_per_cycle,
-                batch_stats.router_flits_per_cycle,
-            )
+    # identical to its one-lane run (stats equality covers injected /
+    # delivered counts, every latency sample and per-router activity) -
+    # for the timed xy batch and for an adaptive PANR batch, one lane
+    # per rate.
+    panr_lanes = batch_lanes[:: len(batch_seeds)]
+    for policy, lanes in (("xy", batch_lanes), ("panr", panr_lanes)):
+        for lane, (single, lane_stats) in enumerate(
+            zip(batch_loop(policy, lanes), batched(policy, lanes))
         ):
-            raise RuntimeError(
-                f"batched NoC engine diverged from scalar on lane {lane}"
-            )
+            if (
+                single.packets_injected != lane_stats.packets_injected
+                or single.packets_delivered != lane_stats.packets_delivered
+                or single.flits_delivered != lane_stats.flits_delivered
+                or single.packet_latencies != lane_stats.packet_latencies
+                or not np.array_equal(
+                    single.router_flits_per_cycle,
+                    lane_stats.router_flits_per_cycle,
+                )
+            ):
+                raise RuntimeError(
+                    f"batched NoC engine diverged from one-lane runs on "
+                    f"{policy} lane {lane}"
+                )
 
-    meta = {"mesh": "8x8", "rate_flits_per_cycle": rate, "cycles": cycles}
+    meta = {
+        "mesh": "8x8",
+        "rate_flits_per_cycle": rate,
+        "cycles": cycles,
+        "engine": "BatchedNocEngine, one lane",
+    }
     batch_meta = {
         "mesh": "8x8",
         "routing": "xy",
@@ -436,7 +439,7 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
     return {
         "noc_engine_legacy": {
             "seconds": _time_best(legacy, repeats),
-            "meta": {**meta, "routing": "xy"},
+            "meta": {**meta, "routing": "xy", "engine": "CycleNocSimulator"},
         },
         "noc_engine_array": {
             "seconds": _time_best(array, repeats),
@@ -448,7 +451,7 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
         },
         "noc_engine_batch_loop": {
             "seconds": _time_best(batch_loop, repeats),
-            "meta": {**batch_meta, "note": "fresh scalar engine per lane"},
+            "meta": {**batch_meta, "note": "fresh one-lane engine per lane"},
         },
         "noc_engine_batched": {
             "seconds": _time_best(batched, repeats),
@@ -462,7 +465,6 @@ def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
         SweepPoint,
         routing_sweep,
         run_batch,
-        run_point,
     )
 
     kwargs: Dict[str, Any] = dict(
@@ -473,9 +475,9 @@ def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
         seeds=(1,) if quick else (1, 2),
         cycles=800 if quick else 2000,
     )
-    # Batched-lane identity: the sweep's context-free grid runs as
-    # BatchedNocEngine lanes, so pin the whole xy group against the
-    # historical per-point scalar path before anything is timed.
+    # Batched-lane identity: each policy's grid runs as the lanes of
+    # one BatchedNocEngine, so pin the whole xy group against one-lane
+    # groups of the same points before anything is timed.
     xy_points = [
         SweepPoint(
             policy="xy",
@@ -486,9 +488,11 @@ def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
         for rate in kwargs["rates"]
         for seed in kwargs["seeds"]
     ]
-    if run_batch(xy_points) != [run_point(p) for p in xy_points]:
+    if run_batch(xy_points) != [
+        result for p in xy_points for result in run_batch([p])
+    ]:
         raise RuntimeError(
-            "batched routing-sweep lanes diverged from scalar points"
+            "batched routing-sweep lanes diverged from one-lane groups"
         )
     start = time.perf_counter()
     serial_rows = routing_sweep(workers=1, **kwargs)
@@ -750,7 +754,7 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
         if value is not None and value <= 1.0:
             failures.append(
                 f"{name}: {value:.2f}x <= 1.00x "
-                "(the batched engine must beat a scalar-engine loop)"
+                "(the batched engine must beat a loop of one-lane engines)"
             )
     if (os.cpu_count() or 1) < 2:
         return failures

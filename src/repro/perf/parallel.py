@@ -74,7 +74,6 @@ START_METHOD = "spawn"
 #: that each entry resolves to a real callable.
 WORKER_ROOTS = (
     "repro.exp.routing_sweep.run_batch",
-    "repro.exp.routing_sweep.run_point",
     "repro.exp.verify.sequential.run_replica_cell",
     "repro.harness.supervisor.CellExecutor.run_cell",
     "repro.harness.supervisor.default_cell_runner",

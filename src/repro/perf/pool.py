@@ -301,7 +301,7 @@ def _build_shared_arrays(
 ) -> Dict[str, np.ndarray]:
     """Compute every array the default warm world shares (parent side)."""
     from repro.chip.mesh import MeshGeometry
-    from repro.noc.engine import build_route_table
+    from repro.noc.batch import build_route_table
     from repro.noc.routing import make_routing
     from repro.noc.topology import MeshTopology
 

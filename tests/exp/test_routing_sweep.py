@@ -6,16 +6,18 @@ import pytest
 from repro.exp.routing_sweep import (
     DEFAULT_POLICIES,
     SweepPoint,
+    _point_result,
     hotspot_psn,
     main,
     print_routing_sweep,
     routing_sweep,
     run_batch,
-    run_point,
     uniform_random_flows,
 )
 from repro.chip.mesh import MeshGeometry
 from repro.harness.errors import ConfigError
+from repro.noc.cycle import CycleNocSimulator
+from repro.noc.routing import make_routing
 from repro.perf.parallel import map_tasks
 
 SMALL = dict(
@@ -56,7 +58,7 @@ class TestSweep:
     def test_point_is_pure(self):
         point = SweepPoint(policy="icon", injection_rate_flits=0.2, seed=3,
                            mesh_width=4, mesh_height=4, cycles=150)
-        assert run_point(point) == run_point(point)
+        assert run_batch([point]) == run_batch([point])
 
     def test_traffic_same_pattern_for_all_policies(self):
         mesh = MeshGeometry(8, 8)
@@ -113,6 +115,18 @@ class TestMapTasks:
         assert map_tasks(lambda x: x + 1, [1, 2], workers=1) == [2, 3]
 
 
+def oracle_result(point):
+    """One sweep point simulated on the legacy cycle simulator."""
+    mesh = MeshGeometry(point.mesh_width, point.mesh_height)
+    flows = uniform_random_flows(
+        mesh, point.injection_rate_flits, point.seed, point.packet_size_flits
+    )
+    oracle = CycleNocSimulator(
+        mesh, make_routing(point.policy), psn_pct=hotspot_psn(mesh)
+    )
+    return _point_result(point, oracle.run(flows, point.cycles))
+
+
 class TestRunBatch:
     def points(self, policy="xy", n=4):
         return [
@@ -123,12 +137,13 @@ class TestRunBatch:
         ][:n]
 
     def test_batch_matches_scalar_points(self):
-        points = self.points()
-        assert run_batch(points) == [run_point(p) for p in points]
+        for policy in ("xy", "panr"):
+            points = self.points(policy)
+            assert run_batch(points) == [oracle_result(p) for p in points]
 
     def test_single_point_batch_matches_scalar(self):
-        points = self.points(n=1)
-        assert run_batch(points) == [run_point(points[0])]
+        points = self.points("icon", n=1)
+        assert run_batch(points) == [oracle_result(points[0])]
 
     def test_empty_batch(self):
         assert run_batch([]) == []
@@ -144,7 +159,3 @@ class TestRunBatch:
                        mesh_width=8, mesh_height=8, cycles=200)
         with pytest.raises(ConfigError):
             run_batch([a, b])
-
-    def test_adaptive_policy_batch_rejected(self):
-        with pytest.raises(ValueError, match="context-free"):
-            run_batch(self.points("panr", 2))

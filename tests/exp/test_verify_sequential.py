@@ -202,20 +202,38 @@ class TestBatchedSampling:
         )
 
     def test_sample_batch_matches_scalar_samples(self):
-        estimand = self._estimand("xy")
         seeds = [derive_seed(0, "verify/latency/replica", i)
                  for i in range(5)]
-        assert estimand.sample_batch(seeds) == [
-            estimand.sample(seed) for seed in seeds
-        ]
+        for policy in ("xy", "panr"):
+            estimand = self._estimand(policy)
+            assert estimand.sample_batch(seeds) == [
+                estimand.sample(seed) for seed in seeds
+            ]
 
-    def test_sample_batch_adaptive_fallback_matches_scalar(self):
+    def test_sample_batch_adaptive_matches_oracle(self):
+        # PANR replicas run as batch lanes; each value must be the pick
+        # from a legacy simulator run of that replica's traffic.
+        from repro.chip.mesh import MeshGeometry
+        from repro.exp.routing_sweep import hotspot_psn, uniform_random_flows
+        from repro.noc.cycle import CycleNocSimulator
+        from repro.noc.routing import make_routing
+
         estimand = self._estimand("panr")
+        mesh = MeshGeometry(4, 4)
         seeds = [derive_seed(0, "verify/latency/replica", i)
                  for i in range(2)]
-        assert estimand.sample_batch(seeds) == [
-            estimand.sample(seed) for seed in seeds
-        ]
+        expected = []
+        for seed in seeds:
+            flows = uniform_random_flows(
+                mesh, estimand.injection_rate_flits,
+                derive_seed(seed, "verify/latency/traffic", 0),
+                estimand.packet_size_flits,
+            )
+            stats = CycleNocSimulator(
+                mesh, make_routing("panr"), psn_pct=hotspot_psn(mesh)
+            ).run(flows, estimand.cycles)
+            expected.append(estimand._pick_latency(seed, stats))
+        assert estimand.sample_batch(seeds) == expected
 
     def test_sample_batch_empty(self):
         assert self._estimand().sample_batch([]) == []
@@ -223,21 +241,22 @@ class TestBatchedSampling:
     def test_primed_run_is_byte_identical_to_scalar_run(self, monkeypatch):
         from repro.exp.verify import sequential
 
-        estimand = self._estimand("xy")
         rule = StopRule(half_width=1e-6, budget=24, batch_size=8,
                         min_replicas=8)
-
-        primed = SequentialEstimator(
-            estimand, rule=rule, method="dkw", root_seed=3
-        ).run()
-        monkeypatch.setattr(
-            sequential.SequentialEstimator,
-            "_prime_batch",
-            lambda self, cells: None,
-        )
-        scalar = SequentialEstimator(
-            estimand, rule=rule, method="dkw", root_seed=3
-        ).run()
-        assert primed.values_mean == scalar.values_mean
-        assert primed.interval.to_json() == scalar.interval.to_json()
-        assert primed.n_replicas == scalar.n_replicas
+        for policy in ("xy", "panr"):
+            estimand = self._estimand(policy)
+            primed = SequentialEstimator(
+                estimand, rule=rule, method="dkw", root_seed=3
+            ).run()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    sequential.SequentialEstimator,
+                    "_prime_batch",
+                    lambda self, cells: None,
+                )
+                scalar = SequentialEstimator(
+                    estimand, rule=rule, method="dkw", root_seed=3
+                ).run()
+            assert primed.values_mean == scalar.values_mean
+            assert primed.interval.to_json() == scalar.interval.to_json()
+            assert primed.n_replicas == scalar.n_replicas

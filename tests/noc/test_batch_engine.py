@@ -1,58 +1,25 @@
 """Golden equivalence suite: BatchedNocEngine lanes vs the oracle.
 
-The batched engine's contract extends the array engine's "same bits,
-less time" to whole sweeps: **every lane** of a batch must be
-flit-for-flit identical to a scalar legacy run with that lane's flows,
-regardless of what its sibling lanes carry.  These tests pin that
-across all three context-free policies, two mesh sizes and two load
-levels; exercise heterogeneous per-lane seeds/rates/PSN; check that
-``set_psn`` on one lane leaves siblings untouched; and pin the S=1
-batch against ArrayNocEngine directly.  The ``simulate_lanes``
-dispatcher is covered on both paths (batched and adaptive fallback).
+The batched engine extends the one-lane "same bits, less time"
+contract to whole sweeps: **every lane** of a batch must be
+flit-for-flit identical to a legacy run with that lane's flows and PSN
+field, regardless of what its sibling lanes carry.  These tests pin
+that across all five routing policies, two mesh sizes and two load
+levels; exercise heterogeneous per-lane rates/PSN; check that
+``set_psn`` on one lane leaves siblings untouched, for context-free
+and PSN-aware policies; and cover the warm-pool route-table adoption
+path and argument validation.
 """
 
 import numpy as np
 import pytest
 
+from noc_oracle import POLICIES, assert_stats_equal, band_psn, uniform_flows
 from repro.chip.mesh import MeshGeometry
-from repro.noc.batch import BatchedNocEngine, LaneSpec, simulate_lanes
+from repro.noc.batch import BatchedNocEngine, build_route_table
 from repro.noc.cycle import CycleNocSimulator, TrafficFlow
-from repro.noc.engine import ArrayNocEngine, build_route_table
-from repro.noc.routing import make_routing
-from repro.noc.topology import MeshTopology
-
-CONTEXT_FREE = ("xy", "west-first", "odd-even")
-ADAPTIVE = ("icon", "panr")
-
-
-def uniform_flows(mesh, rate, seed, packet_size=4):
-    rng = np.random.default_rng(seed)
-    n = mesh.tile_count
-    flows = []
-    for src in range(n):
-        dst = int(rng.integers(0, n - 1))
-        if dst >= src:
-            dst += 1
-        flows.append(TrafficFlow(src, dst, rate, packet_size=packet_size))
-    return flows
-
-
-def band_psn(mesh, hot=12.0, quiet=4.0):
-    psn = np.full(mesh.tile_count, quiet)
-    for t in range(mesh.tile_count):
-        _, y = mesh.coord_of(t)
-        if y in (mesh.height // 2 - 1, mesh.height // 2):
-            psn[t] = hot
-    return psn
-
-
-def assert_stats_equal(a, b):
-    assert a.cycles == b.cycles
-    assert a.packets_injected == b.packets_injected
-    assert a.packets_delivered == b.packets_delivered
-    assert a.flits_delivered == b.flits_delivered
-    assert a.packet_latencies == b.packet_latencies
-    assert np.array_equal(a.router_flits_per_cycle, b.router_flits_per_cycle)
+from repro.noc.routing import XYRouting, make_routing
+from repro.noc.topology import Direction, MeshTopology
 
 
 def lane_grid(mesh, rates, seeds, packet_size=4):
@@ -64,8 +31,17 @@ def lane_grid(mesh, rates, seeds, packet_size=4):
     ]
 
 
+class _AlwaysWest(XYRouting):
+    """Adaptive-flagged policy that routes west even off the mesh."""
+
+    context_free = False
+
+    def select(self, topo, cur, dst, ctx):
+        return Direction.WEST
+
+
 class TestLaneIdentity:
-    @pytest.mark.parametrize("policy", CONTEXT_FREE)
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("width,height", [(4, 4), (8, 8)])
     @pytest.mark.parametrize("rate", [0.05, 0.35])
     def test_every_lane_matches_legacy_oracle(
@@ -88,32 +64,29 @@ class TestLaneIdentity:
             )
             assert_stats_equal(legacy.run(lane_flows, cycles), batch[lane])
 
-    @pytest.mark.parametrize("policy", CONTEXT_FREE)
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_heterogeneous_rates_seeds_and_psn(self, policy):
         # A mixed batch - every lane a different (rate, seed, PSN) -
-        # must still match per-lane scalar runs: lane state never
-        # leaks across the block-diagonal boundary.
+        # must still match per-lane oracle runs: lane state never
+        # leaks across the block-diagonal boundary, and PSN-aware
+        # lanes each route by their own field.
         mesh = MeshGeometry(8, 8)
         lane_cfg = [
             (0.05, 3, np.full(mesh.tile_count, 4.0)),
             (0.35, 7, band_psn(mesh)),
-            (0.20, 11, band_psn(mesh)[::-1].copy()),
+            (0.20, 11, np.roll(band_psn(mesh), 2 * mesh.width)),
             (0.30, 13, np.zeros(mesh.tile_count)),
         ]
         flows = [uniform_flows(mesh, r, seed=s) for r, s, _ in lane_cfg]
         psn = np.stack([p for _, _, p in lane_cfg])
         batch = BatchedNocEngine(
-            mesh,
-            make_routing(policy),
-            n_lanes=len(lane_cfg),
-            psn_pct=psn,
-            seeds=[s for _, s, _ in lane_cfg],
+            mesh, make_routing(policy), n_lanes=len(lane_cfg), psn_pct=psn
         ).run(flows, 300)
-        for lane, (rate, seed, lane_psn) in enumerate(lane_cfg):
-            scalar = ArrayNocEngine(
-                mesh, make_routing(policy), psn_pct=lane_psn, seed=seed
+        for lane, (_, _, lane_psn) in enumerate(lane_cfg):
+            legacy = CycleNocSimulator(
+                mesh, make_routing(policy), psn_pct=lane_psn
             )
-            assert_stats_equal(scalar.run(flows[lane], 300), batch[lane])
+            assert_stats_equal(legacy.run(flows[lane], 300), batch[lane])
 
     def test_multi_flow_same_source_lanes(self):
         # Shared injection ports inside a lane: the backlog FIFO and
@@ -129,24 +102,13 @@ class TestLaneIdentity:
             TrafficFlow(0, 9, 0.41, packet_size=2),
             TrafficFlow(5, 0, 0.11, packet_size=2),
         ]
-        batch = BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2).run(
-            [lane_a, lane_b], 700
-        )
-        for lane_flows, got in zip((lane_a, lane_b), batch):
-            legacy = CycleNocSimulator(mesh, make_routing("xy"))
-            assert_stats_equal(legacy.run(lane_flows, 700), got)
-
-    def test_singleton_batch_equals_array_engine(self):
-        mesh = MeshGeometry(8, 8)
-        flows = uniform_flows(mesh, 0.25, seed=5)
-        scalar = ArrayNocEngine(
-            mesh, make_routing("odd-even"), psn_pct=band_psn(mesh), seed=5
-        ).run(flows, 400)
-        (batched,) = BatchedNocEngine(
-            mesh, make_routing("odd-even"), n_lanes=1,
-            psn_pct=band_psn(mesh), seeds=[5],
-        ).run([flows], 400)
-        assert_stats_equal(scalar, batched)
+        for policy in ("xy", "panr"):
+            batch = BatchedNocEngine(
+                mesh, make_routing(policy), n_lanes=2
+            ).run([lane_a, lane_b], 700)
+            for lane_flows, got in zip((lane_a, lane_b), batch):
+                legacy = CycleNocSimulator(mesh, make_routing(policy))
+                assert_stats_equal(legacy.run(lane_flows, 700), got)
 
     def test_adopted_route_table_and_topology_identical(self):
         # The warm-pool sharing path: one topology + one (n, n) table
@@ -166,28 +128,35 @@ class TestLaneIdentity:
             assert_stats_equal(a, b)
 
     def test_state_persists_across_runs(self):
-        # Back-to-back run() calls carry in-flight flits and wormhole
-        # state per lane, exactly like back-to-back scalar runs.
+        # Back-to-back run() calls carry in-flight flits, wormhole state
+        # and data rates per lane, exactly like back-to-back oracle
+        # runs; the 100-cycle rate window straddles the 250-cycle calls.
         mesh = MeshGeometry(8, 8)
+        psn = band_psn(mesh)
         seeds = (11, 12)
         flows = [uniform_flows(mesh, 0.2, seed=s) for s in seeds]
-        batch = BatchedNocEngine(
-            mesh, make_routing("xy"), n_lanes=len(seeds)
-        )
-        scalars = [
-            ArrayNocEngine(mesh, make_routing("xy")) for _ in seeds
-        ]
-        for _ in range(2):
-            got = batch.run(flows, 250)
-            for lane, scalar in enumerate(scalars):
-                assert_stats_equal(scalar.run(flows[lane], 250), got[lane])
+        for policy in ("xy", "panr"):
+            batch = BatchedNocEngine(
+                mesh, make_routing(policy), n_lanes=len(seeds),
+                psn_pct=psn, rate_window=100,
+            )
+            oracles = [
+                CycleNocSimulator(
+                    mesh, make_routing(policy), psn_pct=psn, rate_window=100
+                )
+                for _ in seeds
+            ]
+            for _ in range(2):
+                got = batch.run(flows, 250)
+                for lane, oracle in enumerate(oracles):
+                    assert_stats_equal(oracle.run(flows[lane], 250), got[lane])
 
 
 class TestPsnLaneIsolation:
     def test_set_psn_on_one_lane_leaves_siblings_identical(self):
         # Context-free routing never reads PSN, so the real assertion
         # is structural: a mid-run per-lane set_psn must not perturb
-        # any lane's stats relative to scalar reference runs.
+        # any lane's stats relative to oracle runs.
         mesh = MeshGeometry(8, 8)
         seeds = (3, 4, 5)
         flows = [uniform_flows(mesh, 0.25, seed=s) for s in seeds]
@@ -199,11 +168,45 @@ class TestPsnLaneIsolation:
         batch.set_psn(np.full(mesh.tile_count, 40.0), lane=1)
         second = batch.run(flows, 200)
         for lane in range(len(seeds)):
-            scalar = ArrayNocEngine(
+            legacy = CycleNocSimulator(
                 mesh, make_routing("west-first"), psn_pct=band_psn(mesh)
             )
-            assert_stats_equal(scalar.run(flows[lane], 200), first[lane])
-            assert_stats_equal(scalar.run(flows[lane], 200), second[lane])
+            assert_stats_equal(legacy.run(flows[lane], 200), first[lane])
+            assert_stats_equal(legacy.run(flows[lane], 200), second[lane])
+
+    def test_set_psn_lane_on_panr_batch_leaves_siblings_identical(self):
+        # PANR reads PSN: the updated lane must follow an oracle that
+        # saw the same update, and its siblings must follow oracles
+        # that never did.
+        mesh = MeshGeometry(8, 8)
+        psn = band_psn(mesh)
+        moved = np.roll(psn, 2 * mesh.width)  # hot band two rows down
+        seeds = (3, 4, 5)
+        flows = [uniform_flows(mesh, 0.3, seed=s) for s in seeds]
+        batch = BatchedNocEngine(
+            mesh, make_routing("panr"), n_lanes=len(seeds), psn_pct=psn
+        )
+        oracles = [
+            CycleNocSimulator(mesh, make_routing("panr"), psn_pct=psn)
+            for _ in seeds
+        ]
+        first = batch.run(flows, 200)
+        for lane, oracle in enumerate(oracles):
+            assert_stats_equal(oracle.run(flows[lane], 200), first[lane])
+        batch.set_psn(moved, lane=1)
+        oracles[1].set_psn(moved)
+        second = batch.run(flows, 200)
+        for lane, oracle in enumerate(oracles):
+            assert_stats_equal(oracle.run(flows[lane], 200), second[lane])
+        # The update really changed lane 1's routes.
+        unchanged = CycleNocSimulator(
+            mesh, make_routing("panr"), psn_pct=psn
+        )
+        unchanged.run(flows[1], 200)
+        assert not np.array_equal(
+            unchanged.run(flows[1], 200).router_flits_per_cycle,
+            second[1].router_flits_per_cycle,
+        )
 
     def test_set_psn_shapes(self):
         mesh = MeshGeometry(4, 4)
@@ -225,12 +228,6 @@ class TestPsnLaneIsolation:
 
 
 class TestValidation:
-    def test_adaptive_policy_rejected(self):
-        mesh = MeshGeometry(4, 4)
-        for policy in ADAPTIVE:
-            with pytest.raises(ValueError):
-                BatchedNocEngine(mesh, make_routing(policy), n_lanes=2)
-
     def test_bad_construction_rejected(self):
         mesh = MeshGeometry(4, 4)
         with pytest.raises(ValueError):
@@ -242,9 +239,6 @@ class TestValidation:
             BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2,
                              psn_pct=np.zeros((3, mesh.tile_count)))
         with pytest.raises(ValueError):
-            BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2,
-                             seeds=[1])
-        with pytest.raises(ValueError):
             BatchedNocEngine(
                 mesh, make_routing("xy"), n_lanes=2,
                 topology=MeshTopology(MeshGeometry(8, 8)),
@@ -254,6 +248,11 @@ class TestValidation:
                 mesh, make_routing("xy"), n_lanes=2,
                 route_table=np.zeros((3, 3), np.int8),
             )
+        table = build_route_table(mesh, make_routing("xy"))
+        with pytest.raises(ValueError, match="context-free"):
+            BatchedNocEngine(mesh, make_routing("panr"), route_table=table)
+        with pytest.raises(ValueError, match="context-free"):
+            build_route_table(mesh, make_routing("icon"))
 
     def test_bad_run_arguments_rejected(self):
         mesh = MeshGeometry(4, 4)
@@ -267,46 +266,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             batch.run([[], []], 0)
 
-
-class TestSimulateLanes:
-    def test_context_free_batched_path(self):
-        mesh = MeshGeometry(8, 8)
-        lanes = [
-            LaneSpec(flows=tuple(uniform_flows(mesh, rate, seed=s)),
-                     seed=s, psn_pct=tuple(band_psn(mesh)))
-            for rate, s in ((0.1, 2), (0.3, 3))
-        ]
-        got = simulate_lanes(mesh, make_routing("xy"), lanes, 300)
-        for spec, stats in zip(lanes, got):
-            scalar = ArrayNocEngine(
-                mesh, make_routing("xy"),
-                psn_pct=np.asarray(spec.psn_pct), seed=spec.seed,
-            )
-            assert_stats_equal(scalar.run(list(spec.flows), 300), stats)
-
-    @pytest.mark.parametrize("policy", ADAPTIVE)
-    def test_adaptive_fallback_path(self, policy):
+    def test_off_mesh_adaptive_route_raises(self):
+        # Tile 0 sits on the west edge: an adaptive decision there that
+        # leaves the mesh must fail loudly, as it does in the oracle.
         mesh = MeshGeometry(4, 4)
-        lanes = [
-            LaneSpec(flows=tuple(uniform_flows(mesh, rate, seed=s)),
-                     seed=s, psn_pct=tuple(band_psn(mesh)))
-            for rate, s in ((0.1, 2), (0.3, 3))
-        ]
-        got = simulate_lanes(mesh, make_routing(policy), lanes, 300)
-        for spec, stats in zip(lanes, got):
-            legacy = CycleNocSimulator(
-                mesh, make_routing(policy),
-                psn_pct=np.asarray(spec.psn_pct), seed=spec.seed,
-            )
-            assert_stats_equal(legacy.run(list(spec.flows), 300), stats)
-
-    def test_empty_lane_list(self):
-        mesh = MeshGeometry(4, 4)
-        assert simulate_lanes(mesh, make_routing("xy"), [], 100) == []
-
-    def test_bad_lane_psn_rejected(self):
-        mesh = MeshGeometry(4, 4)
-        lanes = [LaneSpec(flows=(TrafficFlow(0, 1, 0.1),),
-                          psn_pct=(1.0, 2.0))]
-        with pytest.raises(ValueError):
-            simulate_lanes(mesh, make_routing("xy"), lanes, 100)
+        flows = [TrafficFlow(0, 1, 0.5)]
+        batch = BatchedNocEngine(mesh, _AlwaysWest(), n_lanes=2)
+        with pytest.raises(RuntimeError, match="off mesh"):
+            batch.run([[], flows], 20)
+        legacy = CycleNocSimulator(mesh, _AlwaysWest())
+        with pytest.raises(RuntimeError, match="off mesh"):
+            legacy.run(flows, 20)

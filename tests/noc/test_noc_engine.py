@@ -1,52 +1,28 @@
-"""Golden equivalence suite: ArrayNocEngine vs the legacy simulator.
+"""Golden equivalence suite: one-lane engine runs vs the legacy simulator.
 
-The array engine's whole contract is "same bits, less time": for any
-seed, routing policy, mesh and load, its :class:`NocSimStats` must be
-flit-for-flit identical to :class:`CycleNocSimulator`'s.  These tests
-pin that across every routing policy, two mesh sizes and two load
-levels, plus seed determinism, mid-run PSN updates and state
-persistence across ``run()`` calls.
+A scalar simulation is a one-lane :class:`BatchedNocEngine` batch, and
+its whole contract is "same bits, less time": for any routing policy,
+mesh and load, its :class:`NocSimStats` must be flit-for-flit identical
+to :class:`CycleNocSimulator`'s.  These tests pin that across every
+routing policy, two mesh sizes and two load levels, plus repeatability,
+mid-run PSN updates and state persistence across ``run()`` calls.
+Multi-lane batches are pinned in ``test_batch_engine.py``.
 """
 
 import numpy as np
 import pytest
 
+from noc_oracle import POLICIES, assert_stats_equal, band_psn, uniform_flows
 from repro.chip.mesh import MeshGeometry
+from repro.noc.batch import BatchedNocEngine
 from repro.noc.cycle import CycleNocSimulator, NocSimStats, TrafficFlow
-from repro.noc.engine import ArrayNocEngine
 from repro.noc.routing import make_routing
 
-POLICIES = ("xy", "west-first", "odd-even", "icon", "panr")
 
-
-def uniform_flows(mesh, rate, seed, packet_size=4):
-    rng = np.random.default_rng(seed)
-    n = mesh.tile_count
-    flows = []
-    for src in range(n):
-        dst = int(rng.integers(0, n - 1))
-        if dst >= src:
-            dst += 1
-        flows.append(TrafficFlow(src, dst, rate, packet_size=packet_size))
-    return flows
-
-
-def band_psn(mesh, hot=12.0, quiet=4.0):
-    psn = np.full(mesh.tile_count, quiet)
-    for t in range(mesh.tile_count):
-        _, y = mesh.coord_of(t)
-        if y in (mesh.height // 2 - 1, mesh.height // 2):
-            psn[t] = hot
-    return psn
-
-
-def assert_stats_equal(a: NocSimStats, b: NocSimStats):
-    assert a.cycles == b.cycles
-    assert a.packets_injected == b.packets_injected
-    assert a.packets_delivered == b.packets_delivered
-    assert a.flits_delivered == b.flits_delivered
-    assert a.packet_latencies == b.packet_latencies
-    assert np.array_equal(a.router_flits_per_cycle, b.router_flits_per_cycle)
+def run_one(engine, flows, cycles):
+    """Stats of the only lane of a one-lane engine."""
+    (stats,) = engine.run([flows], cycles)
+    return stats
 
 
 class TestFlitLevelEquivalence:
@@ -60,12 +36,10 @@ class TestFlitLevelEquivalence:
         legacy = CycleNocSimulator(
             mesh, make_routing(policy), psn_pct=psn, seed=3
         )
-        engine = ArrayNocEngine(
-            mesh, make_routing(policy), psn_pct=psn, seed=3
-        )
+        engine = BatchedNocEngine(mesh, make_routing(policy), psn_pct=psn)
         cycles = 400 if (width, height) == (8, 8) else 600
         assert_stats_equal(
-            legacy.run(flows, cycles), engine.run(flows, cycles)
+            legacy.run(flows, cycles), run_one(engine, flows, cycles)
         )
 
     @pytest.mark.parametrize("policy", ("xy", "panr"))
@@ -80,17 +54,25 @@ class TestFlitLevelEquivalence:
             TrafficFlow(5, 0, 0.11, packet_size=2),
         ]
         legacy = CycleNocSimulator(mesh, make_routing(policy), seed=1)
-        engine = ArrayNocEngine(mesh, make_routing(policy), seed=1)
-        assert_stats_equal(legacy.run(flows, 700), engine.run(flows, 700))
+        engine = BatchedNocEngine(mesh, make_routing(policy))
+        assert_stats_equal(
+            legacy.run(flows, 700), run_one(engine, flows, 700)
+        )
 
 
 class TestDeterminismAndState:
     def test_same_seed_same_stats(self):
+        # Two fresh engines fed the same seeded traffic agree exactly.
         mesh = MeshGeometry(8, 8)
         flows = uniform_flows(mesh, 0.2, seed=5)
         runs = [
-            ArrayNocEngine(mesh, make_routing("panr"),
-                           psn_pct=band_psn(mesh), seed=9).run(flows, 300)
+            run_one(
+                BatchedNocEngine(
+                    mesh, make_routing("panr"), psn_pct=band_psn(mesh)
+                ),
+                flows,
+                300,
+            )
             for _ in range(2)
         ]
         assert_stats_equal(runs[0], runs[1])
@@ -98,16 +80,19 @@ class TestDeterminismAndState:
     @pytest.mark.parametrize("policy", ("xy", "icon", "panr"))
     def test_state_persists_across_runs(self, policy):
         # Two back-to-back run() calls must match legacy, including the
-        # in-flight flits, wormhole state and rate windows carried over.
+        # in-flight flits, wormhole state and data rates carried over.
+        # 250 is not a multiple of the 64-cycle rate window, so the
+        # window open at the end of the first run straddles the call.
         mesh = MeshGeometry(8, 8)
         psn = band_psn(mesh)
         flows = uniform_flows(mesh, 0.2, seed=11)
         legacy = CycleNocSimulator(mesh, make_routing(policy),
                                    psn_pct=psn, seed=5)
-        engine = ArrayNocEngine(mesh, make_routing(policy),
-                                psn_pct=psn, seed=5)
-        assert_stats_equal(legacy.run(flows, 250), engine.run(flows, 250))
-        assert_stats_equal(legacy.run(flows, 250), engine.run(flows, 250))
+        engine = BatchedNocEngine(mesh, make_routing(policy), psn_pct=psn)
+        for _ in range(2):
+            assert_stats_equal(
+                legacy.run(flows, 250), run_one(engine, flows, 250)
+            )
 
     @pytest.mark.parametrize("policy", ("panr", "icon"))
     def test_mid_run_psn_update(self, policy):
@@ -117,25 +102,34 @@ class TestDeterminismAndState:
         flows = uniform_flows(mesh, 0.25, seed=13)
         legacy = CycleNocSimulator(mesh, make_routing(policy),
                                    psn_pct=psn, seed=5)
-        engine = ArrayNocEngine(mesh, make_routing(policy),
-                                psn_pct=psn, seed=5)
-        assert_stats_equal(legacy.run(flows, 250), engine.run(flows, 250))
-        flipped = psn[::-1].copy()
-        legacy.set_psn(flipped)
-        engine.set_psn(flipped)
-        assert_stats_equal(legacy.run(flows, 250), engine.run(flows, 250))
+        engine = BatchedNocEngine(mesh, make_routing(policy), psn_pct=psn)
+        assert_stats_equal(
+            legacy.run(flows, 250), run_one(engine, flows, 250)
+        )
+        moved = np.roll(psn, 2 * mesh.width)  # hot band two rows down
+        legacy.set_psn(moved)
+        engine.set_psn(moved)
+        assert_stats_equal(
+            legacy.run(flows, 250), run_one(engine, flows, 250)
+        )
 
     def test_psn_update_changes_adaptive_routes(self):
         # Sanity: the PSN field actually steers PANR (the equivalence
         # above would also pass if set_psn were ignored by both).
         mesh = MeshGeometry(8, 8)
         flows = uniform_flows(mesh, 0.3, seed=17)
-        quiet = ArrayNocEngine(mesh, make_routing("panr"),
-                               psn_pct=np.full(mesh.tile_count, 4.0),
-                               seed=5).run(flows, 400)
-        banded = ArrayNocEngine(mesh, make_routing("panr"),
-                                psn_pct=band_psn(mesh),
-                                seed=5).run(flows, 400)
+        quiet = run_one(
+            BatchedNocEngine(mesh, make_routing("panr"),
+                             psn_pct=np.full(mesh.tile_count, 4.0)),
+            flows,
+            400,
+        )
+        banded = run_one(
+            BatchedNocEngine(mesh, make_routing("panr"),
+                             psn_pct=band_psn(mesh)),
+            flows,
+            400,
+        )
         assert not np.array_equal(
             quiet.router_flits_per_cycle, banded.router_flits_per_cycle
         )
@@ -145,25 +139,25 @@ class TestEngineValidation:
     def test_bad_psn_shape_rejected(self):
         mesh = MeshGeometry(4, 4)
         with pytest.raises(ValueError):
-            ArrayNocEngine(mesh, make_routing("xy"), psn_pct=np.zeros(3))
-        engine = ArrayNocEngine(mesh, make_routing("xy"))
+            BatchedNocEngine(mesh, make_routing("xy"), psn_pct=np.zeros(3))
+        engine = BatchedNocEngine(mesh, make_routing("xy"))
         with pytest.raises(ValueError):
             engine.set_psn(np.zeros(5))
 
     def test_bad_flows_rejected(self):
         mesh = MeshGeometry(4, 4)
-        engine = ArrayNocEngine(mesh, make_routing("xy"))
+        engine = BatchedNocEngine(mesh, make_routing("xy"))
         with pytest.raises(ValueError):
-            engine.run([TrafficFlow(3, 3, 0.1)], 10)
+            engine.run([[TrafficFlow(3, 3, 0.1)]], 10)
         with pytest.raises(Exception):
-            engine.run([TrafficFlow(0, 99, 0.1)], 10)
+            engine.run([[TrafficFlow(0, 99, 0.1)]], 10)
         with pytest.raises(ValueError):
-            engine.run([TrafficFlow(0, 1, 0.1)], 0)
+            engine.run([[TrafficFlow(0, 1, 0.1)]], 0)
 
     def test_buffer_depth_validated(self):
         with pytest.raises(ValueError):
-            ArrayNocEngine(MeshGeometry(2, 2), make_routing("xy"),
-                           buffer_depth=0)
+            BatchedNocEngine(MeshGeometry(2, 2), make_routing("xy"),
+                             buffer_depth=0)
 
 
 class TestStatsAccessors:

@@ -63,15 +63,15 @@ class TestPinnedWorkloads:
         for entry in result.values():
             assert entry["seconds"] > 0
             assert entry["meta"]["mesh"] == "8x8"
-        # The array engine must actually be faster than the reference
-        # on the saturation workload (the gate for the exact multiple
-        # lives in the committed BENCH baselines).
+        # A one-lane engine run must actually be faster than the
+        # reference on the saturation workload (the gate for the exact
+        # multiple lives in the committed BENCH baselines).
         assert (
             result["noc_engine_array"]["seconds"]
             < result["noc_engine_legacy"]["seconds"]
         )
-        # bench_noc_engine verifies every batched lane against a fresh
-        # scalar engine before timing, so reaching here also certifies
+        # bench_noc_engine verifies every xy and panr batch lane against
+        # a one-lane run before timing, so reaching here also certifies
         # the lane-identity contract on the quick workload.
         assert result["noc_engine_batched"]["meta"]["lanes"] == 8
 

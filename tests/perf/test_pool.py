@@ -134,7 +134,7 @@ class TestPublishAttach:
 class TestSharedWorldValues:
     def test_published_tables_match_fresh_computation(self):
         from repro.chip.mesh import MeshGeometry
-        from repro.noc.engine import build_route_table
+        from repro.noc.batch import build_route_table
         from repro.noc.routing import make_routing
         from repro.noc.topology import MeshTopology
 

@@ -38,7 +38,7 @@ class TestWorkerRoots:
     def test_pool_targets_are_registered(self):
         # The callables the perf layer actually ships to spawn workers.
         for required in (
-            "repro.exp.routing_sweep.run_point",
+            "repro.exp.routing_sweep.run_batch",
             "repro.exp.verify.sequential.run_replica_cell",
             "repro.perf.parallel._pool_run_cell",
         ):
