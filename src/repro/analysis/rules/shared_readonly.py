@@ -1,10 +1,10 @@
-"""Rule ``shared-readonly``: declared worker-shared arrays are write-once.
+"""Rule ``shared-readonly``: declared shared lookup arrays are write-once.
 
-The warm-pool plan moves large numpy state — route tables, PSN kernel
-matrices, PDN transient plans — into ``multiprocessing.shared_memory``
-mapped read-only into every worker.  A write to such an array after its
-owning constructor finishes is a latent crash (read-only mapping) or,
-worse, a silent cross-worker divergence today.
+Large numpy lookup state — route tables, topology tables, PSN kernel
+matrices, PDN transient plans — is built once per process, cached, and
+shared by every lane, engine and solve that reads it.  A write to such
+an array after its owning constructor finishes silently changes the
+results of every other reader of the cache.
 
 Classes opt in by declaring the contract as a plain class attribute::
 

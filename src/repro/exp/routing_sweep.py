@@ -146,14 +146,10 @@ def run_batch(points: Sequence[SweepPoint]) -> List[PointResult]:
     advances through shared vectorised phases.  Each lane is pinned
     flit-for-flit identical to the legacy oracle.  Points must agree on
     everything except rate and seed - :func:`routing_sweep` groups them
-    that way.  Inside a warm pool worker the engine adopts the shared
-    topology and, for context-free policies, the pre-built route table
-    for this mesh/policy; both hold exactly the values the engine would
-    compute itself, so the result is byte-identical either way.
+    that way.
     """
     from repro.harness.errors import ConfigError
     from repro.noc.batch import BatchedNocEngine
-    from repro.perf.pool import warm_world
 
     points = list(points)
     if not points:
@@ -175,20 +171,11 @@ def run_batch(points: Sequence[SweepPoint]) -> List[PointResult]:
         )
         for p in points
     ]
-    topology = route_table = None
-    world = warm_world()
-    if world is not None:
-        topology = world.topology(first.mesh_width, first.mesh_height)
-        route_table = world.route_table(
-            first.mesh_width, first.mesh_height, first.policy
-        )
     engine = BatchedNocEngine(
         mesh,
         make_routing(first.policy),
         n_lanes=len(points),
         psn_pct=hotspot_psn(mesh),
-        topology=topology,
-        route_table=route_table,
     )
     stats_list = engine.run(flows, first.cycles)
     return [

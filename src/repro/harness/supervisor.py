@@ -383,21 +383,12 @@ def _result_row(cell: CampaignCell, fr: Any) -> Dict[str, Any]:
     }
 
 
-def default_cell_runner(
-    chip: Any = None, library: Any = None
-) -> CellRunner:
+def default_cell_runner() -> CellRunner:
     """The production cell runner: one ``run_framework`` call per cell.
 
     The chip description and profile library are built once and shared
     across cells (both are immutable inputs), matching what a manual
     sweep would do.
-
-    Args:
-        chip: Optional pre-built chip description (warm worker pools
-            pass their shared one); ``None`` builds the default.
-        library: Optional pre-built profile library; ``None`` builds a
-            fresh one.  Both defaults are deterministic, so a runner
-            over pre-built inputs is byte-equivalent to the lazy one.
     """
     from repro.apps.suite import ProfileLibrary
     from repro.apps.workload import WorkloadType
@@ -405,8 +396,8 @@ def default_cell_runner(
     from repro.exp.frameworks import framework as fw_lookup
     from repro.exp.runner import run_framework
 
-    chip = default_chip() if chip is None else chip
-    library = ProfileLibrary() if library is None else library
+    chip = default_chip()
+    library = ProfileLibrary()
 
     def run(cell: CampaignCell) -> Dict[str, Any]:
         fr = run_framework(

@@ -108,22 +108,15 @@ class BatchedNocEngine:
             mid-run via :meth:`set_psn`.
         rate_window: Cycles per data-rate measurement window.
         topology: Optional pre-built :class:`MeshTopology` to adopt
-            (warm worker pools share one, with shared-memory lookup
-            tables, across every engine a worker builds).  Must match
-            ``mesh``; never mutated.
-        route_table: Optional complete ``(n, n)`` int8 route table for
-            a context-free ``routing`` (see :func:`build_route_table`).
-            Adopted as-is - including read-only shared-memory views -
-            and shared by every lane, so one warm-pool table serves
-            the whole batch.  The values must equal what the lazy
-            builder would produce, so results are byte-identical with
-            or without it.
+            (one topology, with its lookup tables, can serve every
+            engine built over the same mesh).  Must match ``mesh``;
+            never mutated.
     """
 
-    #: Topology-derived lookup tables that the warm-worker-pool plan
-    #: maps into shared memory: read-only once built.  parmlint's
-    #: shared-readonly rule flags any write outside __init__ and the
-    #: lazy route-table builder declared below (see docs/lint.md).
+    #: Topology-derived lookup tables, shared by every lane and
+    #: read-only once built.  parmlint's shared-readonly rule flags any
+    #: write outside __init__ and the lazy route-table builder declared
+    #: below (see docs/lint.md).
     #: _tile_lane/_tile_local are the flat-index decompositions (flat
     #: tile -> lane, flat tile -> in-mesh tile).
     __shared_readonly__ = (
@@ -152,7 +145,6 @@ class BatchedNocEngine:
         psn_pct: Optional[np.ndarray] = None,
         rate_window: int = 64,
         topology: Optional[MeshTopology] = None,
-        route_table: Optional[np.ndarray] = None,
     ):
         if n_lanes < 1:
             raise ValueError("n_lanes must be at least 1")
@@ -257,22 +249,8 @@ class BatchedNocEngine:
         self._route_table: Optional[np.ndarray] = None
         self._table_built: Optional[np.ndarray] = None
         if routing.context_free:
-            if route_table is not None:
-                if route_table.shape != (n, n):
-                    raise ValueError(
-                        "adopted route table has the wrong shape"
-                    )
-                if route_table.dtype != np.int8:
-                    raise ValueError("adopted route table must be int8")
-                self._route_table = route_table
-                self._table_built = np.ones(n, bool)
-            else:
-                self._route_table = np.full((n, n), -1, np.int8)
-                self._table_built = np.zeros(n, bool)
-        elif route_table is not None:
-            raise ValueError(
-                "route tables exist only for context-free policies"
-            )
+            self._route_table = np.full((n, n), -1, np.int8)
+            self._table_built = np.zeros(n, bool)
         # Adaptive-policy context caches: per in-mesh tile, its static
         # adjacency (Direction, neighbour tile, output port code), and
         # per flat tile the neighbour PSN / data-rate dicts, built on
@@ -826,9 +804,7 @@ def build_route_table(
     """Complete ``(n, n)`` int8 route table of a context-free policy.
 
     Runs the engine's own lazy column builder for every destination, so
-    the result is byte-for-byte what an engine would build on demand -
-    the warm worker pool publishes these tables into shared memory and
-    engines adopt them via the ``route_table`` constructor argument.
+    the result is byte-for-byte what an engine would build on demand.
 
     Args:
         mesh: Tile mesh.

@@ -7,7 +7,7 @@ y grows SOUTH (row-major tile ids).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,56 +77,23 @@ OPPOSITE_CODES = tuple(
 )
 
 
-class TopologyTables(NamedTuple):
-    """Shared-memory-backed lookup tables a :class:`MeshTopology` can adopt.
-
-    Published by :mod:`repro.perf.pool` from the parent process and
-    attached read-only in warm workers; the values are exactly what the
-    constructor would compute, only the backing storage is shared.
-    """
-
-    hops: np.ndarray  # (n, n) int64 Manhattan distances
-    neighbor_codes: np.ndarray  # (n, 5) int64, -1 at mesh edges
-
-
 class MeshTopology:
     """Port-level view of a tile mesh for NoC models.
 
     Args:
         mesh: Tile mesh.
-        shared_tables: Optional pre-computed hop / neighbour-code
-            tables (typically shared-memory views from the warm worker
-            pool).  Values must equal what the constructor computes;
-            shapes are validated, contents are trusted.
     """
 
-    #: Precomputed all-pairs lookup tables, read-only once built: the
-    #: warm-worker-pool plan shares them across workers, and parmlint's
-    #: shared-readonly rule flags any write outside __init__ / the lazy
-    #: neighbor-code builder (see docs/lint.md).
+    #: Precomputed all-pairs lookup tables, read-only once built: every
+    #: routing policy, NoC model and engine over this topology shares
+    #: them, and parmlint's shared-readonly rule flags any write outside
+    #: __init__ / the lazy neighbor-code builder (see docs/lint.md).
     __shared_readonly__ = ("_hops", "_towards", "_neighbor_codes")
     __shared_readonly_init__ = ("neighbor_codes",)
 
-    def __init__(
-        self,
-        mesh: MeshGeometry,
-        shared_tables: Optional[TopologyTables] = None,
-    ):
+    def __init__(self, mesh: MeshGeometry):
         self._mesh = mesh
-        n = mesh.tile_count
-        if shared_tables is not None:
-            if shared_tables.hops.shape != (n, n):
-                raise ValueError("shared hops table has the wrong shape")
-            if shared_tables.neighbor_codes.shape != (
-                n,
-                len(PORT_DIRECTIONS),
-            ):
-                raise ValueError(
-                    "shared neighbor-code table has the wrong shape"
-                )
-        self._neighbor_codes: Optional[np.ndarray] = (
-            None if shared_tables is None else shared_tables.neighbor_codes
-        )
+        self._neighbor_codes: Optional[np.ndarray] = None
         self._neighbors: Dict[int, Dict[Direction, int]] = {}
         coords = [mesh.coord_of(tile) for tile in mesh.tiles()]
         for tile, (x, y) in enumerate(coords):
@@ -141,16 +108,13 @@ class MeshTopology:
         # per topology: routing and the analytical NoC model look these
         # up in their innermost loops, where the coordinate arithmetic
         # of MeshGeometry.manhattan dominated profiles.
-        if shared_tables is not None:
-            self._hops = shared_tables.hops
-        else:
-            self._hops = np.array(
-                [
-                    [abs(ax - bx) + abs(ay - by) for bx, by in coords]
-                    for ax, ay in coords
-                ],
-                dtype=np.int64,
-            )
+        self._hops = np.array(
+            [
+                [abs(ax - bx) + abs(ay - by) for bx, by in coords]
+                for ax, ay in coords
+            ],
+            dtype=np.int64,
+        )
         self._towards: Dict[Tuple[int, int], Tuple[Direction, ...]] = {}
         for src, (sx, sy) in enumerate(coords):
             for dst, (dx_, dy_) in enumerate(coords):

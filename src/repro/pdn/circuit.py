@@ -126,9 +126,9 @@ class _TransientPlan:
     cap_diff: object = None
     ind_diff: object = None
 
-    #: Plan arrays are shared read-only with pool workers (warm-pool
-    #: plan); parmlint's shared-readonly rule bans writes after
-    #: construction.  (Unannotated class attr: not a dataclass field.)
+    #: Plan arrays are cached and shared read-only by every solve that
+    #: reuses the plan; parmlint's shared-readonly rule bans writes
+    #: after construction.  (Unannotated class attr: not a dataclass field.)
     __shared_readonly__ = (
         "cap_g",
         "ind_r",
@@ -784,9 +784,9 @@ class Circuit:
     ) -> None:
         """Factorise (and cache) the transient plan for ``(method, dt)``.
 
-        Warm-pool workers call this at initialisation so the first real
-        solve of a task pays only the right-hand-side work; it is the
-        public face of the plan cache that :meth:`transient` consults.
+        Callers that want the factorisation paid up front call this so
+        the first real solve pays only the right-hand-side work; it is
+        the public face of the plan cache that :meth:`transient` consults.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")

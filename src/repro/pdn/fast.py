@@ -65,9 +65,9 @@ class _KernelTables:
     z_cross: np.ndarray  # (2, 2) indexed by (BIN_INDEX[i], BIN_INDEX[j])
     kappa: np.ndarray  # (4, 4) coupling discount, zero diagonal
 
-    #: Kernel matrices are shared read-only with pool workers (warm-pool
-    #: plan); parmlint's shared-readonly rule bans writes after
-    #: construction.  (Unannotated class attr: not a dataclass field.)
+    #: Kernel matrices are cached once per kernel and shared read-only
+    #: by every evaluation; parmlint's shared-readonly rule bans writes
+    #: after construction.  (Unannotated class attr: not a dataclass field.)
     __shared_readonly__ = ("z_own", "z_cross", "kappa")
 
 

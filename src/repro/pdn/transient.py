@@ -247,8 +247,8 @@ class PsnTransientAnalysis:
 
         Everything :meth:`analyze` reuses across calls - the netlist and
         the sparse-LU plan of the default (trapezoidal, requested dt)
-        rung - is built eagerly, so warm-pool workers pay the
-        factorisation at initialisation instead of on their first task.
+        rung - is built eagerly, so a caller can pay the factorisation
+        up front instead of inside its first analysis.
         Priming is idempotent and changes no analysis result: the same
         cached plan would have been built lazily by the first solve.
         """

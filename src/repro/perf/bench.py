@@ -10,8 +10,8 @@ against a committed baseline (see ``docs/performance.md``):
 * ``transient_solve_cold`` / ``transient_solve_warm`` - one MNA
   transient solve with a fresh factorisation vs the cached plan;
 * ``pool_warmup`` / ``pool_reuse`` / ``pool_init_seconds`` - first
-  lease of the persistent warm worker pool (spawn + per-worker world
-  build) vs a later lease of the already-warm pool, plus the mean
+  lease of the persistent warm worker pool (spawn + per-worker
+  initializer) vs a later lease of the already-warm pool, plus the mean
   once-per-worker initializer time (``repro.perf.pool``);
 * ``campaign_cell`` - one supervised campaign cell end to end;
 * ``e2e_sweep_serial`` / ``e2e_sweep_parallel`` - a small campaign
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -213,7 +214,7 @@ def _prewarm_pool(
 
     Called before the timed parallel regions so they measure
     steady-state task throughput against serial, not process spawn and
-    world build (the costs ``pool_warmup`` times explicitly).
+    worker initialisation (the costs ``pool_warmup`` times explicitly).
     """
     from repro.perf import pool
 
@@ -227,8 +228,8 @@ def _prewarm_pool(
 def bench_pool(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
     from repro.perf import pool
 
-    # Cold start: drop any pool and shared segments earlier suites (or
-    # a previous bench run in-process) left warm.
+    # Cold start: drop any pool earlier suites (or a previous bench run
+    # in-process) left warm.
     pool.shutdown_pool()
 
     start = time.perf_counter()
@@ -249,7 +250,7 @@ def bench_pool(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
 
     init_values = sorted(inits.values())
     mean_init = sum(init_values) / len(init_values) if init_values else 0.0
-    meta = {"workers": workers, "segments": len(pool.default_warm_spec().array_specs)}
+    meta = {"workers": workers}
     return {
         "pool_warmup": {
             "seconds": warmup_s,
@@ -307,8 +308,6 @@ def bench_campaign_cell(quick: bool) -> Dict[str, Dict[str, Any]]:
 
 
 def bench_e2e_sweep(quick: bool, workers: int, tmp_dir: str) -> Dict[str, Dict[str, Any]]:
-    import os
-
     from repro.harness.supervisor import CampaignSupervisor, SupervisorPolicy
 
     cells = _bench_cells(quick)
@@ -715,6 +714,7 @@ def run_suite(
         "rev": _rev(),
         "quick": quick,
         "workers": workers,
+        "cpu_count": os.cpu_count(),
         "benchmarks": benchmarks,
         "derived": derived,
     }
@@ -744,8 +744,6 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
     gates (:data:`BATCH_SPEEDUP_GATES`) are in-process vectorisation
     wins and are enforced on any core count.
     """
-    import os
-
     if result.get("quick"):
         return []
     failures = []
@@ -864,15 +862,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name, value in sorted(result["derived"].items()):
         print(f"  {name:<24} {value:.2f}x")
 
-    import os as _os
-
     speedup_failures = parallel_speedup_failures(result)
     if speedup_failures:
         print("parallel speedup gate failed:", file=sys.stderr)
         for failure in speedup_failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    gated = not result["quick"] and (_os.cpu_count() or 1) >= 2
+    gated = not result["quick"] and (os.cpu_count() or 1) >= 2
     for name in PARALLEL_SPEEDUP_GATES:
         value = result["derived"].get(name)
         if value is not None:

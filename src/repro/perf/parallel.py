@@ -29,9 +29,9 @@ no other module spawns workers behind the supervisor's back.
 
 Worker processes are *persistent*: both entry points lease the
 process-lifetime warm pool of :mod:`repro.perf.pool`, whose workers
-build the expensive read-only world (chip, profile library, kernel and
-route tables in shared memory, primed transient plan) once at
-initialisation and are reused across calls.  Each call cancels only its
+build their cell executor (chip, profile library) once at
+initialisation, cache the lookup tables their tasks build, and are
+reused across calls.  Each call cancels only its
 own futures on exit and flags - never shuts down - a broken pool, so
 interleaved batches cannot cancel each other's queued work.
 """

@@ -78,15 +78,6 @@ class RunMetrics:
         remap_count: Successful fault-triggered re-mappings.
         remap_retry_count: Re-mapping retry attempts (beyond each
             recovery's immediate attempt).
-        streaming: Opt-in bounded-memory mode (see
-            ``RuntimeSimulator(streaming_stats=True)``).  Terminal
-            records are folded into O(1) counters by :meth:`retire` and
-            dropped from :attr:`apps`, so a long open-ended run does not
-            accumulate one record per arrival.  The counting properties
-            (``completed_count`` etc.) combine the folded counters with
-            whatever records are still live, so they read identically in
-            both modes; only the per-app detail (:mod:`repro.runtime.export`
-            CSVs) requires the legacy default.
     """
 
     apps: Dict[int, AppRecord] = field(default_factory=dict)
@@ -103,88 +94,35 @@ class RunMetrics:
     #: occupied_tiles)`` snapshots, filled when the simulator runs with
     #: ``record_trace=True``.
     trace: List[Tuple[float, float, int]] = field(default_factory=list)
-    streaming: bool = False
     # Internal accumulators for the time-weighted average.
     _psn_weight: float = 0.0
     _psn_accum: float = 0.0
-    # Folded counters of retired records (streaming mode only).
-    _retired: Dict[str, int] = field(default_factory=dict)
-
-    def retire(self, app_id: int) -> None:
-        """Fold one *terminal* record into O(1) counters and drop it.
-
-        A no-op outside streaming mode (and for unknown or already
-        retired ids), so the simulator can call it unconditionally at
-        every terminal transition.
-        """
-        if not self.streaming:
-            return
-        record = self.apps.pop(app_id, None)
-        if record is None:
-            return
-        if not (record.completed or record.dropped or record.failed):
-            raise ValueError(
-                f"app {app_id} is not terminal; only finished, dropped or "
-                "failed records can be retired"
-            )
-        folded = self._retired
-        for name, hit in (
-            ("completed", record.completed),
-            ("dropped", record.dropped),
-            ("failed", record.failed),
-            ("degraded", record.degraded),
-            ("deadline_met", record.met_deadline),
-        ):
-            if hit:
-                folded[name] = folded.get(name, 0) + 1
-        folded["migrated_tasks"] = (
-            folded.get("migrated_tasks", 0) + record.migrated_tasks
-        )
-
-    @property
-    def retired_count(self) -> int:
-        """Records folded away by streaming mode (0 in legacy mode)."""
-        return self._retired.get("completed", 0) + self._retired.get(
-            "dropped", 0
-        ) + self._retired.get("failed", 0)
 
     @property
     def completed_count(self) -> int:
-        return self._retired.get("completed", 0) + sum(
-            1 for a in self.apps.values() if a.completed
-        )
+        return sum(1 for a in self.apps.values() if a.completed)
 
     @property
     def dropped_count(self) -> int:
-        return self._retired.get("dropped", 0) + sum(
-            1 for a in self.apps.values() if a.dropped
-        )
+        return sum(1 for a in self.apps.values() if a.dropped)
 
     @property
     def failed_count(self) -> int:
         """Applications abandoned after fault-recovery retries ran out."""
-        return self._retired.get("failed", 0) + sum(
-            1 for a in self.apps.values() if a.failed
-        )
+        return sum(1 for a in self.apps.values() if a.failed)
 
     @property
     def degraded_count(self) -> int:
         """Applications that completed despite fault-triggered re-maps."""
-        return self._retired.get("degraded", 0) + sum(
-            1 for a in self.apps.values() if a.degraded
-        )
+        return sum(1 for a in self.apps.values() if a.degraded)
 
     @property
     def deadline_met_count(self) -> int:
-        return self._retired.get("deadline_met", 0) + sum(
-            1 for a in self.apps.values() if a.met_deadline
-        )
+        return sum(1 for a in self.apps.values() if a.met_deadline)
 
     @property
     def total_migrated_tasks(self) -> int:
-        return self._retired.get("migrated_tasks", 0) + sum(
-            a.migrated_tasks for a in self.apps.values()
-        )
+        return sum(a.migrated_tasks for a in self.apps.values())
 
     def record_psn_interval(
         self, duration_s: float, occupied_avg_psn: List[float], peak_pct: float

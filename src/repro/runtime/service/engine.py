@@ -50,13 +50,12 @@ from repro.harness.seeding import derive_seed
 from repro.pdn.emergencies import MAX_POISSON_MEAN, VoltageEmergencyPolicy
 from repro.pdn.fast import BIN_INDEX
 from repro.pdn.sensors import SensorFault, SensorNetwork
-from repro.pdn.waveforms import ActivityBin
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.service.arrivals import UniformStream
 from repro.runtime.service.config import ServiceConfig
 from repro.runtime.service.stats import TrafficStats
 from repro.runtime.simulator import SimulatorContext
-from repro.runtime.state import ChipState
+from repro.runtime.state import ChipState, TileOccupant
 
 # Event kinds, in same-instant processing order: faults reshape the
 # chip first, exits free capacity, retries re-admit, arrivals join last.
@@ -64,10 +63,6 @@ _FAULT = 0
 _EXIT = 1
 _RETRY = 2
 _ARRIVAL = 3
-
-#: Physical switching bound of a 5-port router, flits per cycle.
-_MAX_ROUTER_RATE = 4.0
-
 
 class ServiceState:
     """Mutable, JSON-serialisable state of the service between epochs.
@@ -863,16 +858,11 @@ class ServiceEngine:
     def _evaluate_psn(
         self, state: ServiceState, chip_state: ChipState
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched per-domain PSN (the simulator's fast path, with the
+        """Per-tile peak/avg PSN (the simulator's evaluation, with the
         router-activity proxy instead of the analytical NoC report)."""
-        chip = self._chip
-        power_model = chip.power_model
-        n = chip.tile_count
-        peak = np.zeros(n)
-        avg = np.zeros(n)
         # Router-activity proxy: each mapped task injects its profiled
         # flit rate at its own router.
-        router_rate = np.zeros(n)
+        router_rate = np.zeros(self._chip.tile_count)
         task_bin: Dict[int, int] = {}
         task_activity: Dict[int, float] = {}
         graphs: Dict[int, Any] = {}
@@ -891,55 +881,11 @@ class ServiceEngine:
                 node = graph.task(int(task))
                 task_bin[tile] = BIN_INDEX[node.activity_bin]
                 task_activity[tile] = node.activity_factor
-        np.clip(router_rate, 0.0, _MAX_ROUTER_RATE, out=router_rate)
 
-        low_bin = BIN_INDEX[ActivityBin.LOW]
-        dom_vdds: List[float] = []
-        dom_tiles: List[Tuple[int, ...]] = []
-        core_w: List[List[float]] = []
-        router_w: List[List[float]] = []
-        bin_rows: List[List[int]] = []
-        for domain in range(chip.domain_count):
-            tiles = self._context.domain_tiles[domain]
-            vdd = chip_state.domain_vdd(domain)
-            rates = [float(router_rate[t]) for t in tiles]
-            if vdd is None:
-                if all(r <= 0.0 for r in rates):
-                    continue  # fully dark and quiet
-                vdd = chip.vdd_ladder.lowest
-            cores = [0.0] * len(tiles)
-            routers = [0.0] * len(tiles)
-            bins = [low_bin] * len(tiles)
-            for i, (tile, r_rate) in enumerate(zip(tiles, rates)):
-                occ = chip_state.occupant(tile)
-                router_power = (
-                    power_model.router_dynamic(r_rate, vdd)
-                    + power_model.router_leakage(vdd)
-                )
-                if occ is None:
-                    if r_rate > 0:
-                        routers[i] = router_power
-                    continue
-                app = state.running[occ.app_id]
-                cores[i] = power_model.core_dynamic(
-                    task_activity[tile], app["vdd"]
-                ) + power_model.core_leakage(app["vdd"])
-                routers[i] = router_power
-                bins[i] = task_bin[tile]
-            dom_vdds.append(vdd)
-            dom_tiles.append(tiles)
-            core_w.append(cores)
-            router_w.append(routers)
-            bin_rows.append(bins)
-        if not dom_vdds:
-            return peak, avg
-        vdd_arr = np.array(dom_vdds)
-        i_core = np.array(core_w) / vdd_arr[:, None]
-        i_router = np.array(router_w) / vdd_arr[:, None]
-        d_peak, d_avg = self._context.psn_model.chip_psn(
-            vdd_arr, i_core, i_router, np.array(bin_rows)
-        )
-        tiles_arr = np.array(dom_tiles)
-        peak[tiles_arr] = d_peak
-        avg[tiles_arr] = d_avg
-        return peak, avg
+        def core_load(
+            tile: int, occ: TileOccupant
+        ) -> Tuple[float, float, int]:
+            vdd = state.running[occ.app_id]["vdd"]
+            return task_activity[tile], vdd, task_bin[tile]
+
+        return self._context.evaluate_psn(chip_state, router_rate, core_load)

@@ -34,7 +34,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -62,7 +71,7 @@ from repro.runtime.migration import (
     pick_migration_target,
     plan_compaction,
 )
-from repro.runtime.state import ChipState
+from repro.runtime.state import ChipState, TileOccupant
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
     from repro.core.base import MappingDecision, ResourceManager
@@ -72,6 +81,10 @@ _EXIT = 1
 _FAULT = 2
 _FAULT_END = 3
 _RETRY = 4
+
+#: Physical switching bound of a 5-port router, flits per cycle: router
+#: loads are clamped here before conversion to power.
+MAX_ROUTER_RATE = 4.0
 
 
 @dataclass
@@ -132,6 +145,88 @@ class SimulatorContext:
             ),
         )
 
+    def evaluate_psn(
+        self,
+        state: ChipState,
+        router_rate: Sequence[float],
+        core_load: Callable[[int, TileOccupant], Tuple[float, float, int]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-tile peak/avg PSN of one chip snapshot.
+
+        The one PSN evaluation of both runtime loops, which differ only
+        in where the per-tile inputs come from.  Tile loads are gathered
+        per domain into flat arrays and the kernel ladders are evaluated
+        for *all* active domains with one batched matvec
+        (:meth:`FastPsnModel.chip_psn`).
+
+        Args:
+            state: Occupancy and per-domain supply voltages.
+            router_rate: Per-tile router load in flits/cycle; clamped at
+                :data:`MAX_ROUTER_RATE` before conversion to power.
+            core_load: For an occupied tile and its occupant, the running
+                task's ``(activity factor, core Vdd, activity-bin
+                index)``.
+        """
+        chip = self.chip
+        power_model = chip.power_model
+        n = chip.tile_count
+        peak = np.zeros(n)
+        avg = np.zeros(n)
+        low_bin = BIN_INDEX[ActivityBin.LOW]
+        dom_vdds: List[float] = []
+        dom_tiles: List[Tuple[int, ...]] = []
+        core_w: List[List[float]] = []
+        router_w: List[List[float]] = []
+        bin_rows: List[List[int]] = []
+        for domain, tiles in enumerate(self.domain_tiles):
+            vdd = state.domain_vdd(domain)
+            rates = [
+                min(float(router_rate[t]), MAX_ROUTER_RATE) for t in tiles
+            ]
+            if vdd is None:
+                if all(r <= 0.0 for r in rates):
+                    continue  # fully dark and quiet
+                # Idle domain carrying through-traffic: the NoC keeps its
+                # routers powered at the lowest DVS step.
+                vdd = chip.vdd_ladder.lowest
+            cores = [0.0] * len(tiles)
+            routers = [0.0] * len(tiles)
+            bins = [low_bin] * len(tiles)
+            for i, (tile, r_rate) in enumerate(zip(tiles, rates)):
+                occ = state.occupant(tile)
+                router_power = (
+                    power_model.router_dynamic(r_rate, vdd)
+                    + power_model.router_leakage(vdd)
+                )
+                if occ is None:
+                    if r_rate > 0:
+                        routers[i] = router_power
+                    continue
+                activity, core_vdd, bins[i] = core_load(tile, occ)
+                cores[i] = power_model.core_dynamic(
+                    activity, core_vdd
+                ) + power_model.core_leakage(core_vdd)
+                routers[i] = router_power
+            dom_vdds.append(vdd)
+            dom_tiles.append(tiles)
+            core_w.append(cores)
+            router_w.append(routers)
+            bin_rows.append(bins)
+        if not dom_vdds:
+            return peak, avg
+        vdd_arr = np.array(dom_vdds)
+        # Kernel inputs are mean currents: power / Vdd (what the scalar
+        # path computes inside PsnKernel.evaluate from each TileLoad).
+        i_core = np.array(core_w) / vdd_arr[:, None]
+        i_router = np.array(router_w) / vdd_arr[:, None]
+        d_peak, d_avg = self.psn_model.chip_psn(
+            vdd_arr, i_core, i_router, np.array(bin_rows)
+        )
+        tiles_arr = np.array(dom_tiles)
+        peak[tiles_arr] = d_peak
+        avg[tiles_arr] = d_avg
+        return peak, avg
+
 
 @dataclass
 class _RecoveringApp:
@@ -172,11 +267,6 @@ class RuntimeSimulator:
         record_trace: When true, the returned metrics carry a
             ``(time, chip peak PSN, occupied tiles)`` snapshot per
             scheduling event (for time-series analysis and plotting).
-        streaming_stats: When true, terminal application records are
-            folded into the metrics' O(1) counters and dropped as they
-            finish (see :meth:`~repro.runtime.metrics.RunMetrics.retire`),
-            bounding memory for long arrival sequences.  The default
-            keeps every record - required by the per-app CSV export.
         seed: RNG seed for VE sampling.
         max_sim_time_s: Safety horizon; the run aborts past it.
         context: Pre-built chip-derived immutables
@@ -200,7 +290,6 @@ class RuntimeSimulator:
         seed: int = 0,
         max_sim_time_s: float = 600.0,
         record_trace: bool = False,
-        streaming_stats: bool = False,
         context: Optional[SimulatorContext] = None,
     ):
         self._chip = chip
@@ -216,7 +305,6 @@ class RuntimeSimulator:
         self._faults = faults if faults is not None and faults.events else None
         self._recovery = recovery or RecoveryPolicy()
         self._record_trace = record_trace
-        self._streaming_stats = streaming_stats
         self._rng = np.random.default_rng(seed)
         self._max_time = max_sim_time_s
         if context is None:
@@ -227,16 +315,14 @@ class RuntimeSimulator:
             )
         self._context = context
         self._noc = AnalyticalNocModel(context.topology, routing)
-        self._psn_model = context.psn_model
         self._performance = context.performance
-        self._domain_tiles = context.domain_tiles
 
     # ------------------------------------------------------------------
 
     def run(self, arrivals: Sequence[ApplicationArrival]) -> RunMetrics:
         """Execute one workload sequence to completion."""
         state = ChipState(self._chip)
-        metrics = RunMetrics(streaming=self._streaming_stats)
+        metrics = RunMetrics()
         running: Dict[int, _RunningApp] = {}
         queue: List[ApplicationArrival] = []
 
@@ -307,14 +393,12 @@ class RuntimeSimulator:
             if not self._still_feasible(rec.arrival, now):
                 rec.record.dropped_s = now
                 del recovering[aid]
-                metrics.retire(aid)
                 return False
             if rec.record.remap_count >= self._recovery.max_total_remaps:
                 # Lifetime re-map budget spent (the app keeps landing in
                 # fault-broken spots): terminal failure, not churn.
                 rec.record.failed_s = now
                 del recovering[aid]
-                metrics.retire(aid)
                 return False
             rec.attempts += 1
             decision = self._manager.try_remap(
@@ -346,7 +430,6 @@ class RuntimeSimulator:
                 # application as a clean outcome, not an exception.
                 rec.record.failed_s = now
                 del recovering[aid]
-                metrics.retire(aid)
                 return False
             delay = self._recovery.backoff_s(rec.attempts - 1)
             heapq.heappush(
@@ -394,7 +477,6 @@ class RuntimeSimulator:
                     app.record.finished_s = now
                     metrics.total_time_s = max(metrics.total_time_s, now)
                     del running[app_id]
-                    metrics.retire(app_id)
                     occupancy_changed = True
                 # Otherwise a VE pushed the finish out; rescheduled below.
             elif kind == _FAULT:
@@ -434,7 +516,6 @@ class RuntimeSimulator:
                 if not self._still_feasible(head, now):
                     record.dropped_s = now
                     queue.pop(0)
-                    metrics.retire(head.app_id)
                     continue
                 decision = self._manager.try_map(
                     head.profile, head.deadline_s - now, state
@@ -785,79 +866,22 @@ class RuntimeSimulator:
         running: Dict[int, _RunningApp],
         report,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-tile peak/avg PSN from occupancy + router activity.
-
-        Tile loads are gathered per domain into flat arrays and the
-        kernel ladders are evaluated for *all* active domains with one
-        batched matvec (:meth:`FastPsnModel.chip_psn`) instead of a
-        Python loop per domain and tile.
-        """
-        chip = self._chip
-        power_model = chip.power_model
-        n = chip.tile_count
-        peak = np.zeros(n)
-        avg = np.zeros(n)
+        """Per-tile peak/avg PSN from occupancy + analytical router load."""
         graphs = {
             aid: app.arrival.profile.graph(app.decision.dop)
             for aid, app in running.items()
         }
-        low_bin = BIN_INDEX[ActivityBin.LOW]
-        dom_vdds: List[float] = []
-        dom_tiles: List[Tuple[int, ...]] = []
-        core_w: List[List[float]] = []
-        router_w: List[List[float]] = []
-        bin_rows: List[List[int]] = []
-        for domain in range(chip.domain_count):
-            tiles = self._domain_tiles[domain]
-            vdd = state.domain_vdd(domain)
-            # A 5-port router physically switches at most ~4 flits per
-            # cycle; clamp the analytical load before converting to power.
-            router_rates = [
-                min(float(report.router_flits_per_cycle[t]), 4.0)
-                for t in tiles
-            ]
-            if vdd is None:
-                if all(r <= 0.0 for r in router_rates):
-                    continue  # fully dark and quiet
-                # Idle domain carrying through-traffic: the NoC keeps its
-                # routers powered at the lowest DVS step.
-                vdd = chip.vdd_ladder.lowest
-            cores = [0.0, 0.0, 0.0, 0.0]
-            routers = [0.0, 0.0, 0.0, 0.0]
-            bins = [low_bin, low_bin, low_bin, low_bin]
-            for i, (tile, r_rate) in enumerate(zip(tiles, router_rates)):
-                occ = state.occupant(tile)
-                router_power = (
-                    power_model.router_dynamic(r_rate, vdd)
-                    + power_model.router_leakage(vdd)
-                )
-                if occ is None:
-                    if r_rate > 0:
-                        routers[i] = router_power
-                    continue
-                app = running[occ.app_id]
-                task = graphs[occ.app_id].task(occ.task_id)
-                cores[i] = power_model.core_dynamic(
-                    task.activity_factor, app.decision.vdd
-                ) + power_model.core_leakage(app.decision.vdd)
-                routers[i] = router_power
-                bins[i] = BIN_INDEX[task.activity_bin]
-            dom_vdds.append(vdd)
-            dom_tiles.append(tiles)
-            core_w.append(cores)
-            router_w.append(routers)
-            bin_rows.append(bins)
-        if not dom_vdds:
-            return peak, avg
-        vdd_arr = np.array(dom_vdds)
-        # Kernel inputs are mean currents: power / Vdd (what the scalar
-        # path computes inside PsnKernel.evaluate from each TileLoad).
-        i_core = np.array(core_w) / vdd_arr[:, None]
-        i_router = np.array(router_w) / vdd_arr[:, None]
-        d_peak, d_avg = self._psn_model.chip_psn(
-            vdd_arr, i_core, i_router, np.array(bin_rows)
+
+        def core_load(
+            tile: int, occ: TileOccupant
+        ) -> Tuple[float, float, int]:
+            task = graphs[occ.app_id].task(occ.task_id)
+            return (
+                task.activity_factor,
+                running[occ.app_id].decision.vdd,
+                BIN_INDEX[task.activity_bin],
+            )
+
+        return self._context.evaluate_psn(
+            state, report.router_flits_per_cycle, core_load
         )
-        tiles_arr = np.array(dom_tiles)
-        peak[tiles_arr] = d_peak
-        avg[tiles_arr] = d_avg
-        return peak, avg

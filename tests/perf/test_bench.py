@@ -2,6 +2,7 @@
 regression gate, and the CLI contract (without timing anything slow)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestCli:
         )
         assert code == 1
         assert "regressions" in capsys.readouterr().err
+
+    def test_run_suite_records_cpu_count(self, monkeypatch):
+        for name in ("bench_kernel", "bench_transient", "bench_noc_engine",
+                     "bench_lint"):
+            monkeypatch.setattr(bench, name, lambda quick: {})
+        result = bench.run_suite(
+            quick=True,
+            skip=("pool", "campaign", "e2e", "routing", "verify", "service"),
+        )
+        assert result["cpu_count"] == os.cpu_count()
 
     def test_default_gate_is_generous(self):
         assert DEFAULT_GATE_PCT == 25.0

@@ -148,39 +148,3 @@ class TestPsnAndEmergencies:
         )
         m = simulate(chip, HarmonicManager(), "xy", w)
         assert m.total_ve_count == sum(r.ve_count for r in m.apps.values())
-
-
-class TestStreamingStats:
-    def test_aggregates_match_legacy_and_records_drop(self, library, chip):
-        w = generate_workload(
-            WorkloadType.MIXED, 0.05, n_apps=12, seed=3, library=library
-        )
-        legacy = simulate(chip, ParmManager(), "panr", w)
-        stream = simulate(
-            chip, ParmManager(), "panr", w, streaming_stats=True
-        )
-        # Same aggregates through the counting properties...
-        assert stream.completed_count == legacy.completed_count
-        assert stream.dropped_count == legacy.dropped_count
-        assert stream.failed_count == legacy.failed_count
-        assert stream.deadline_met_count == legacy.deadline_met_count
-        assert stream.total_migrated_tasks == legacy.total_migrated_tasks
-        assert stream.total_time_s == legacy.total_time_s
-        assert stream.peak_psn_pct == legacy.peak_psn_pct
-        assert stream.avg_psn_pct == legacy.avg_psn_pct
-        assert stream.total_ve_count == legacy.total_ve_count
-        # ...but no per-app records survive: every terminal record was
-        # folded into the O(1) counters.
-        assert stream.apps == {}
-        assert stream.retired_count == len(w)
-        assert legacy.retired_count == 0
-        assert len(legacy.apps) == len(w)
-
-    def test_retire_refuses_live_records(self):
-        from repro.runtime.metrics import AppRecord, RunMetrics
-
-        m = RunMetrics(streaming=True)
-        m.apps[0] = AppRecord(0, "fft", arrival_s=0.0, deadline_s=1.0)
-        with pytest.raises(ValueError, match="not terminal"):
-            m.retire(0)
-        m.retire(99)  # unknown ids are ignored
