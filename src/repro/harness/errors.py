@@ -127,14 +127,16 @@ class SimTimeout(ReproError):
 class WorkerCrash(ReproError):
     """A parallel-map task failed in (or took down) its worker process.
 
-    Raised by :func:`repro.perf.parallel.map_tasks` for both failure
-    modes: the task callable raising any non-taxonomy exception, and
-    the worker process dying before returning a result (an OOM kill or
-    hard crash surfaces as ``BrokenProcessPool``).  Context carries
-    ``task_index`` and ``task`` (repr) so the offending input can be
-    replayed, plus ``error_type``/``error`` with the underlying cause.
-    Taxonomy errors (:class:`ReproError` subclasses) raised by the task
-    itself propagate unchanged - they already carry provenance.
+    Raised by :func:`repro.perf.parallel.map_tasks` (and so by
+    ``run_cells``) once a task has used up its attempts, for both
+    failure modes: the task callable raising any non-taxonomy
+    exception, and the worker process dying before returning a result
+    (an OOM kill or hard crash surfaces as ``BrokenProcessPool``).
+    Context carries ``task_index`` and ``task`` (repr) so the offending
+    input can be replayed, ``attempts`` (how many it used), and
+    ``error_type``/``error`` with the last underlying cause.  Taxonomy
+    errors (:class:`ReproError` subclasses) raised by the task itself
+    propagate unchanged - they already carry provenance.
     """
 
 

@@ -481,18 +481,6 @@ class CellExecutor:
             self._runner = self._cell_runner or default_cell_runner()
         return self._runner
 
-    def prewarm(self, runner: CellRunner) -> None:
-        """Adopt a pre-built default runner (warm worker pools).
-
-        Only fills the lazy default slot: a user-supplied
-        ``cell_runner`` always wins, and a runner discarded after a
-        timeout is rebuilt fresh by :meth:`_current_runner` - the
-        adopted runner is never reinstated, preserving the
-        discard-on-timeout isolation rule.
-        """
-        if self._cell_runner is None and self._runner is None:
-            self._runner = runner
-
     def _discard_runner(self) -> None:
         """Drop the default runner after a timed-out attempt.
 

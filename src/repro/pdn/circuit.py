@@ -779,23 +779,6 @@ class Circuit:
                 states[step], n, step, float(times[step]), method, max_abs_v
             )
 
-    def prime_transient(
-        self, dt: float, method: str = "trapezoidal"
-    ) -> None:
-        """Factorise (and cache) the transient plan for ``(method, dt)``.
-
-        Callers that want the factorisation paid up front call this so
-        the first real solve pays only the right-hand-side work; it is
-        the public face of the plan cache that :meth:`transient` consults.
-        """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if method not in ("trapezoidal", "backward-euler"):
-            raise ValueError(f"unknown integration method {method!r}")
-        if not self._nodes:
-            raise ValueError("circuit has no nodes")
-        self._transient_plan(method, dt)
-
     def _solve_dc(self, at_time: float) -> np.ndarray:
         i_now = np.array(
             [

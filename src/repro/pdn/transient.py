@@ -242,20 +242,6 @@ class PsnTransientAnalysis:
     def tech(self) -> TechnologyNode:
         return self._tech
 
-    def prime(self) -> None:
-        """Build the domain circuit and factorise its transient plan.
-
-        Everything :meth:`analyze` reuses across calls - the netlist and
-        the sparse-LU plan of the default (trapezoidal, requested dt)
-        rung - is built eagerly, so a caller can pay the factorisation
-        up front instead of inside its first analysis.
-        Priming is idempotent and changes no analysis result: the same
-        cached plan would have been built lazily by the first solve.
-        """
-        if self._circuit is None:
-            self._circuit = self._builder.build(1.0, [0.0] * len(TILE_NODES))
-        self._circuit.prime_transient(self._dt_s)
-
     def analyze(
         self,
         vdd: float,

@@ -9,10 +9,9 @@ against a committed baseline (see ``docs/performance.md``):
   PSN kernel, scalar loop vs the vectorised batch path;
 * ``transient_solve_cold`` / ``transient_solve_warm`` - one MNA
   transient solve with a fresh factorisation vs the cached plan;
-* ``pool_warmup`` / ``pool_reuse`` / ``pool_init_seconds`` - first
-  lease of the persistent warm worker pool (spawn + per-worker
-  initializer) vs a later lease of the already-warm pool, plus the mean
-  once-per-worker initializer time (``repro.perf.pool``);
+* ``pool_warmup`` / ``pool_reuse`` - first lease of the persistent
+  worker pool (spawn + worker imports) vs a later lease of the
+  already-warm pool (``repro.perf.pool``);
 * ``campaign_cell`` - one supervised campaign cell end to end;
 * ``e2e_sweep_serial`` / ``e2e_sweep_parallel`` - a small campaign
   sweep run serially and with worker processes (plus the derived
@@ -183,42 +182,37 @@ def bench_transient(quick: bool) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def _probe_pool(lease: Any, workers: int) -> Dict[int, float]:
-    """Run probe rounds until every worker has initialised (bounded).
+def _probe_pool(lease: Any, workers: int) -> None:
+    """Run probe rounds until every worker has answered (bounded).
 
-    Returns ``{worker pid: init_seconds}``.  A fast worker can win every
-    probe of a round, so rounds repeat until ``workers`` distinct pids
-    answered or the probe budget runs out (best effort - a straggler
-    still finishes its one-time init before its first real task).
+    A fast worker can win every probe of a round, so rounds repeat
+    until ``workers`` distinct pids answered or the probe budget runs
+    out (best effort - a straggler still pays its imports before its
+    first real task).
     """
-    from repro.perf import pool
+    from repro.perf.parallel import _probe_worker
 
-    inits: Dict[int, float] = {}
+    pids = set()
     token = 0
-    while len(inits) < workers and token < workers * 8:
+    while len(pids) < workers and token < workers * 8:
         futures = [
-            lease.pool.submit(pool._probe_worker, token + i)
+            lease.pool.submit(_probe_worker, token + i)
             for i in range(workers)
         ]
         token += workers
-        for future in futures:
-            pid, init_s = future.result()
-            inits[pid] = init_s
-    return inits
+        pids.update(future.result() for future in futures)
 
 
-def _prewarm_pool(
-    workers: int, policy: Any = None, cell_runner: Any = None
-) -> None:
-    """Spawn + initialise the warm pool matching ``(workers, policy)``.
+def _prewarm_pool(workers: int) -> None:
+    """Spawn the pool for ``workers`` and import the task modules.
 
     Called before the timed parallel regions so they measure
     steady-state task throughput against serial, not process spawn and
-    worker initialisation (the costs ``pool_warmup`` times explicitly).
+    worker imports (the costs ``pool_warmup`` times explicitly).
     """
     from repro.perf import pool
 
-    lease = pool.lease_pool(workers, policy=policy, cell_runner=cell_runner)
+    lease = pool.lease_pool(workers)
     try:
         _probe_pool(lease, workers)
     finally:
@@ -227,6 +221,7 @@ def _prewarm_pool(
 
 def bench_pool(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
     from repro.perf import pool
+    from repro.perf.parallel import _probe_worker
 
     # Cold start: drop any pool earlier suites (or a previous bench run
     # in-process) left warm.
@@ -234,35 +229,28 @@ def bench_pool(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
 
     start = time.perf_counter()
     lease = pool.lease_pool(workers)
-    inits = _probe_pool(lease, workers)
+    _probe_pool(lease, workers)
     warmup_s = time.perf_counter() - start
     lease.release()
 
     start = time.perf_counter()
     lease = pool.lease_pool(workers)
     for future in [
-        lease.pool.submit(pool._probe_worker, 10_000 + i)
-        for i in range(workers)
+        lease.pool.submit(_probe_worker, 10_000 + i) for i in range(workers)
     ]:
         future.result()
     reuse_s = time.perf_counter() - start
     lease.release()
 
-    init_values = sorted(inits.values())
-    mean_init = sum(init_values) / len(init_values) if init_values else 0.0
     meta = {"workers": workers}
     return {
         "pool_warmup": {
             "seconds": warmup_s,
-            "meta": {**meta, "note": "first lease: spawn + init + probes"},
+            "meta": {**meta, "note": "first lease: spawn + imports + probes"},
         },
         "pool_reuse": {
             "seconds": reuse_s,
             "meta": {**meta, "note": "later lease of the warm pool"},
-        },
-        "pool_init_seconds": {
-            "seconds": mean_init,
-            "meta": {**meta, "per_worker": init_values},
         },
     }
 
@@ -308,16 +296,15 @@ def bench_campaign_cell(quick: bool) -> Dict[str, Dict[str, Any]]:
 
 
 def bench_e2e_sweep(quick: bool, workers: int, tmp_dir: str) -> Dict[str, Dict[str, Any]]:
-    from repro.harness.supervisor import CampaignSupervisor, SupervisorPolicy
+    from repro.harness.supervisor import CampaignSupervisor
 
     cells = _bench_cells(quick)
     times: Dict[str, float] = {}
     for tag, n_workers in (("serial", 1), ("parallel", workers)):
         if n_workers > 1:
-            # Same fingerprint the supervisor's run_cells leases
-            # (default policy, in-worker default runner), so the timed
-            # run reuses these already-initialised workers.
-            _prewarm_pool(n_workers, policy=SupervisorPolicy())
+            # The pool the supervisor's run_cells leases, so the timed
+            # run reuses these already-started workers.
+            _prewarm_pool(n_workers)
         checkpoint = os.path.join(tmp_dir, f"bench_{tag}.json")
         supervisor = CampaignSupervisor(
             cells, checkpoint, workers=n_workers
@@ -496,7 +483,7 @@ def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
     start = time.perf_counter()
     serial_rows = routing_sweep(workers=1, **kwargs)
     serial_s = time.perf_counter() - start
-    _prewarm_pool(workers)  # map_tasks leases the bare-worker pool
+    _prewarm_pool(workers)
     start = time.perf_counter()
     parallel_rows = routing_sweep(workers=workers, **kwargs)
     parallel_s = time.perf_counter() - start

@@ -221,23 +221,3 @@ class TestPlanReuse:
         assert calls["n"] == primed
         again = analysis.analyze(0.6, loads)
         np.testing.assert_array_equal(first.peak_psn_pct, again.peak_psn_pct)
-
-    def test_prime_prepays_factorisation(self, tech, power, monkeypatch):
-        calls = self._splu_counter(monkeypatch)
-        analysis = PsnTransientAnalysis(tech, window_s=10e-9)
-        analysis.prime()
-        primed = calls["n"]
-        assert primed >= 1
-        analysis.prime()  # idempotent
-        assert calls["n"] == primed
-        loads = [
-            make_load(power, 0.6, 0.7, ActivityBin.HIGH) for _ in range(4)
-        ]
-        report = analysis.analyze(0.6, loads)
-        # The solve itself must not add a transient factorisation; the
-        # DC seed's LU was also built by prime's plan path.
-        assert calls["n"] <= primed + 1
-        fresh = PsnTransientAnalysis(tech, window_s=10e-9).analyze(0.6, loads)
-        np.testing.assert_array_equal(
-            report.peak_psn_pct, fresh.peak_psn_pct
-        )

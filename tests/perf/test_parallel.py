@@ -8,6 +8,7 @@ it (pytest's rootdir sys.path is inherited by the children).
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.harness.supervisor import (
     CampaignSupervisor,
     SupervisorPolicy,
 )
-from repro.perf.parallel import _auto_chunk_size, map_tasks, run_cells
+from repro.perf.parallel import map_tasks, run_cells
 
 
 def toy_runner(c):
@@ -131,6 +132,53 @@ def flaky_until(task):
     return value * 2
 
 
+def echo_after(task):
+    """Module-level map task returning ``value`` once ``wait_for`` exists.
+
+    ``signal_path`` (if set) is created just before returning, so one
+    task can hold another back across worker processes.
+    """
+    value, wait_for, signal_path = task
+    if wait_for:
+        deadline = time.monotonic() + 30.0
+        while not os.path.exists(wait_for) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # let the signalling task's result land first
+    if signal_path:
+        with open(signal_path, "w", encoding="utf-8"):
+            pass
+    return value
+
+
+class TestMapTasksOnResult:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_every_index_once(self, workers):
+        seen = []
+        result = map_tasks(
+            echo_after,
+            [("a", "", ""), ("b", "", ""), ("c", "", "")],
+            workers=workers,
+            on_result=lambda index, value: seen.append((index, value)),
+        )
+        assert result == ["a", "b", "c"]
+        assert sorted(seen) == [(0, "a"), (1, "b"), (2, "c")]
+
+    def test_fast_task_reported_before_earlier_slow_task(self, tmp_path):
+        # Task 0 is submitted first but cannot finish before task 1 has:
+        # on_result follows completion order, the return value follows
+        # task order.
+        done = str(tmp_path / "fast-done")
+        seen = []
+        result = map_tasks(
+            echo_after,
+            [("slow", done, ""), ("fast", "", done)],
+            workers=2,
+            on_result=lambda index, value: seen.append(index),
+        )
+        assert seen == [1, 0]
+        assert result == ["slow", "fast"]
+
+
 class TestMapTasksRetries:
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigError, match="retries"):
@@ -171,27 +219,6 @@ class TestMapTasksRetries:
         )
         assert result == [2, 4, 6, 8]
         assert os.path.exists(marker)
-
-    def test_backoff_schedule_is_seeded_and_recorded(self, tmp_path):
-        def run(tag):
-            delays = []
-            counter = str(tmp_path / f"counter-{tag}")
-            map_tasks(
-                flaky_until,
-                [(1, counter, 2)],
-                workers=1,
-                retries=2,
-                retry_seed=7,
-                sleep_fn=delays.append,
-            )
-            return delays
-
-        first, second = run("a"), run("b")
-        assert len(first) == 2
-        assert all(d > 0 for d in first)
-        # Exponential growth with jitter, reproduced exactly per seed.
-        assert first[1] > first[0]
-        assert first == second
 
 
 class TestRunCells:
@@ -275,64 +302,3 @@ class TestParallelSupervisor:
         ).run(resume=True)
         assert all(o.completed for o in resumed.outcomes)
         assert read_bytes(crashed_cp) == read_bytes(serial_cp)
-
-
-def double(task):
-    """Module-level map task (picklable for spawn workers)."""
-    return task * 2
-
-
-class TestMapTasksChunking:
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ConfigError, match="chunk_size"):
-            map_tasks(double, [1, 2], workers=1, chunk_size=0)
-
-    def test_auto_heuristic_stays_unchunked_for_small_batches(self):
-        # Up to 4 tasks per worker: one descriptor per round trip.
-        assert _auto_chunk_size(1, 2) == 1
-        assert _auto_chunk_size(8, 2) == 1
-        # Beyond that: ceil(n / (4 * workers)) consecutive tasks each.
-        assert _auto_chunk_size(9, 2) == 2
-        assert _auto_chunk_size(100, 2) == 13
-        assert _auto_chunk_size(100, 4) == 7
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 5, None])
-    def test_chunked_merge_is_byte_identical(self, chunk_size):
-        tasks = list(range(11))
-        expected = [t * 2 for t in tasks]
-        assert map_tasks(
-            double, tasks, workers=2, chunk_size=chunk_size
-        ) == expected
-
-    def test_chunked_failure_names_global_task_index(self):
-        # The crash sits mid-chunk; the raised context must carry the
-        # original (global) task index and error type, exactly as the
-        # unchunked path reports them.
-        with pytest.raises(WorkerCrash) as info:
-            map_tasks(
-                crash_on_three, [1, 2, 3, 4], workers=2, chunk_size=4
-            )
-        err = info.value
-        assert err.context["task_index"] == 2
-        assert err.context["task"] == "3"
-        assert err.context["error_type"] == "ValueError"
-
-    def test_chunked_taxonomy_errors_propagate_unwrapped(self):
-        with pytest.raises(SolverError, match="already classified"):
-            map_tasks(raise_taxonomy, [1, 2], workers=2, chunk_size=2)
-
-    def test_chunked_transient_failure_retried(self, tmp_path):
-        counter = str(tmp_path / "counter")
-        tasks = [(1, str(tmp_path / "c1"), 0), (2, counter, 2)]
-        assert map_tasks(
-            flaky_until, tasks, workers=2, retries=2, chunk_size=2
-        ) == [2, 4]
-
-    def test_chunked_sigkill_retried_and_merge_order_kept(self, tmp_path):
-        marker = str(tmp_path / "crashed-once")
-        tasks = [(1, ""), (2, marker), (3, ""), (4, "")]
-        result = map_tasks(
-            crash_once_marker, tasks, workers=2, retries=1, chunk_size=2
-        )
-        assert result == [2, 4, 6, 8]
-        assert os.path.exists(marker)

@@ -1,7 +1,7 @@
 """Tests for the persistent warm worker pool.
 
 Covers the pool lifecycle (create / reuse / ephemeral / broken-rebuild),
-the once-per-worker initializer, the rebuild limit, and that workers
+one shared pool for both fan-outs, the rebuild limit, and that workers
 share no memory segments with the parent.
 
 Task callables live at module level so ``spawn`` workers can unpickle
@@ -19,7 +19,7 @@ import pytest
 from repro.harness.errors import WorkerCrash
 from repro.harness.supervisor import CampaignCell, SupervisorPolicy
 from repro.perf import pool
-from repro.perf.parallel import map_tasks, run_cells
+from repro.perf.parallel import _probe_worker, map_tasks, run_cells
 
 
 def make_cells(n=2):
@@ -53,13 +53,13 @@ class TestWarmPoolLifecycle:
         before = pool.pool_stats()
         lease = pool.lease_pool(2)
         try:
-            probes = [
-                lease.pool.submit(pool._probe_worker, i).result()
+            pids = [
+                lease.pool.submit(_probe_worker, i).result()
                 for i in range(6)
             ]
         finally:
             lease.release()
-        assert all(init_s > 0.0 for _, init_s in probes)
+        assert all(pid != os.getpid() for pid in pids)
         second = pool.lease_pool(2)
         try:
             assert second.pool is lease.pool
@@ -72,13 +72,24 @@ class TestWarmPoolLifecycle:
 
     def test_workers_report_init_seconds(self):
         pool.shutdown_pool()
-        assert pool._probe_worker(0) == (os.getpid(), -1.0)  # parent
+        assert _probe_worker(0) == os.getpid()  # in-process
         try:
-            probes = map_tasks(pool._probe_worker, list(range(8)), workers=2)
+            pids = map_tasks(_probe_worker, list(range(8)), workers=2)
         finally:
             pool.shutdown_pool()
-        assert all(pid != os.getpid() for pid, _ in probes)
-        assert all(init_s > 0.0 for _, init_s in probes)
+        assert all(pid != os.getpid() for pid in pids)
+
+    def test_map_tasks_and_run_cells_share_one_pool(self):
+        pool.shutdown_pool()
+        before = pool.pool_stats()
+        try:
+            assert map_tasks(slow_square, [1, 2, 3], workers=2) == [1, 4, 9]
+            run_cells(make_cells(2), SupervisorPolicy(), workers=2)
+        finally:
+            pool.shutdown_pool()
+        after = pool.pool_stats()
+        assert after["created"] == before["created"] + 1
+        assert after["broken_rebuilds"] == before["broken_rebuilds"]
 
     def test_live_pool_publishes_no_shared_memory(self):
         pool.shutdown_pool()
@@ -96,10 +107,10 @@ class TestWarmPoolLifecycle:
         lease = pool.lease_pool(2)
         try:
             before = pool.pool_stats()
-            other = pool.lease_pool(1)  # different fingerprint, mid-flight
+            other = pool.lease_pool(1)  # different count, mid-flight
             try:
                 assert other.pool is not lease.pool
-                pid, _ = other.pool.submit(pool._probe_worker, 0).result()
+                pid = other.pool.submit(_probe_worker, 0).result()
                 assert pid != os.getpid()
             finally:
                 other.release()
@@ -144,7 +155,7 @@ class TestInterleavedBatches:
         )
         thread.start()
         try:
-            # Same fingerprint: this batch shares the pool with the
+            # Same worker count: this batch shares the pool with the
             # background one and, crucially, finishing first must not
             # cancel the background batch's queued futures.
             results["b"] = map_tasks(slow_square, [10, 11, 12], workers=2)
@@ -160,7 +171,7 @@ class TestInterleavedBatches:
 class TestPoolRebuildLimit:
     def test_pool_kept_dying_is_classified(self):
         pool.shutdown_pool()
-        with pytest.raises(WorkerCrash, match="kept dying") as info:
+        with pytest.raises(WorkerCrash, match="worker process died") as info:
             run_cells(
                 make_cells(2),
                 SupervisorPolicy(),
@@ -168,6 +179,6 @@ class TestPoolRebuildLimit:
                 cell_runner=sigkill_cell_runner,
             )
         err = info.value
-        assert err.context["rebuilds"] == pool.MAX_POOL_REBUILDS + 1
-        assert err.context["pending_cells"]
+        assert err.context["attempts"] == pool.MAX_POOL_REBUILDS + 1
+        assert err.context["error_type"] == "BrokenProcessPool"
         pool.shutdown_pool()

@@ -40,6 +40,6 @@ class TestWorkerRoots:
         for required in (
             "repro.exp.routing_sweep.run_batch",
             "repro.exp.verify.sequential.run_replica_cell",
-            "repro.perf.parallel._pool_run_cell",
+            "repro.perf.parallel._run_cell_task",
         ):
             assert required in WORKER_ROOTS
