@@ -10,7 +10,9 @@ utilisation / per-router activity / expected latency fall out.
 Adaptive policies (PANR, ICON) react to congestion and PSN, which in turn
 depend on the routing - so the model iterates to a fixed point: routing
 weights are computed against the previous iteration's link loads, router
-activities and PSN sensor values.
+activities and PSN sensor values.  Context-free policies (XY, west-first,
+odd-even) would route identically on every iteration, so they propagate
+once.
 
 Latency uses an M/D/1-style queueing term per link: a link with
 utilisation ``rho`` delays a flit ``rho / (2 (1 - rho))`` service slots on
@@ -25,7 +27,7 @@ the cycle-level simulator, so the two models express one policy;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -101,7 +103,8 @@ class NocLoadReport:
 
     @property
     def avg_latency_cycles(self) -> float:
-        """Rate-weighted mean header latency over all flows."""
+        """Unweighted mean header latency over all flows: every flow
+        counts once, whatever its rate."""
         if not self.flows:
             return 0.0
         return float(np.mean([f.header_latency_cycles for f in self.flows]))
@@ -111,14 +114,36 @@ class NocLoadReport:
         return float(np.max(self.router_flits_per_cycle))
 
 
+#: One hop out of a router: ``(outgoing link key, next tile)``.
+_Hop = Tuple[Tuple[int, Direction], int]
+
+#: One router's expansion towards one destination: the policy's weights
+#: (fault-filtered) and their total.
+_Expansion = Tuple[Dict[Direction, float], float]
+
+
+class _Propagation(NamedTuple):
+    """Result of pushing every flow through the mesh once."""
+
+    link_load: Dict[Tuple[int, Direction], float]
+    router_load: np.ndarray
+    #: Per flow: inflow rate of each router that split it onwards.
+    inflows: List[Dict[int, float]]
+    unroutable: List[bool]
+    #: Destination -> router -> expansion, shared by every flow.
+    expansions: Dict[int, Dict[int, _Expansion]]
+
+
 class AnalyticalNocModel:
     """Fixed-point flow model over one routing policy.
 
     Args:
         topo: The mesh topology.
         routing: Routing policy (weights drive the flow splits).
-        iterations: Fixed-point iterations (2-3 suffice; deterministic
-            policies converge in 1).
+        iterations: Fixed-point iterations for context-dependent
+            policies (PANR, ICON); the default is 4.  A context-free
+            policy (``routing.context_free``) reads no context, so every
+            iteration would route identically: it propagates once.
         link_bandwidth: Flits per cycle a link can carry (1.0 for a
             single-flit-wide link).
         router_noise_pct_per_flit: PSN a flit/cycle of router activity
@@ -130,6 +155,14 @@ class AnalyticalNocModel:
             below an average utilisation of 1; router *power* still uses
             the raw average activity.
     """
+
+    #: Per-model lookup tables built once in __init__ from the topology
+    #: and read-only afterwards (see MeshTopology).
+    __shared_readonly__ = (
+        "_context_links",
+        "_hops_from",
+        "_free_contexts",
+    )
 
     def __init__(
         self,
@@ -154,6 +187,21 @@ class AnalyticalNocModel:
         self._bw = link_bandwidth
         self._router_noise = router_noise_pct_per_flit
         self._burstiness = burstiness
+        # Per tile: (direction, neighbour, incoming link key, outgoing
+        # link key) for every mesh direction with a neighbour.
+        self._context_links: List[List[tuple]] = []
+        # Per tile: direction -> (outgoing link key, next tile).
+        self._hops_from: List[Dict[Direction, _Hop]] = []
+        for tile in topo.mesh.tiles():
+            links = []
+            for d in topo.out_directions(tile):
+                n = topo.neighbor(tile, d)
+                links.append((d, n, (n, d.opposite), (tile, d)))
+            self._context_links.append(links)
+            self._hops_from.append({d: (out, n) for d, n, _, out in links})
+        # Context-free policies never read a context: one shared empty
+        # one stands in for every router.
+        self._free_contexts = [RoutingContext()] * topo.mesh.tile_count
 
     @property
     def routing(self) -> RoutingAlgorithm:
@@ -208,47 +256,40 @@ class AnalyticalNocModel:
             self._topo.mesh._check_tile(f.src)
             self._topo.mesh._check_tile(f.dst)
 
-        link_load: Dict[Tuple[int, Direction], float] = {}
-        router_load = np.zeros(n_tiles)
-        # Relaxed copies fed to the routing contexts: adaptive policies
-        # with sharp argmin selection can oscillate between iterations
-        # (all flow flips to the quiet side, which then becomes the loud
-        # side); under-relaxation damps the fixed point.
-        ctx_link: Dict[Tuple[int, Direction], float] = {}
-        ctx_router = np.zeros(n_tiles)
-        per_flow_splits: List[Dict[int, Dict[Direction, float]]] = []
-
-        unroutable: List[bool] = [False] * len(flows)
-        for it in range(self._iterations):
-            contexts = self._build_contexts(
-                ctx_link, ctx_router, psn_pct, psn_valid
+        if self._routing.context_free:
+            # Weights that read no context route identically on every
+            # fixed-point iteration, so the first propagation is final.
+            prop = self._propagate(
+                flows, self._free_contexts, dead_links, dead_routers
             )
-            link_load, router_load, per_flow_splits, unroutable = (
-                self._propagate(flows, contexts, dead_links, dead_routers)
+        else:
+            prop = self._fixed_point(
+                flows, psn_pct, psn_valid, dead_links, dead_routers
             )
-            blend = 0.5 if it else 1.0
-            keys = set(ctx_link) | set(link_load)
-            ctx_link = {
-                k: (1 - blend) * ctx_link.get(k, 0.0)
-                + blend * link_load.get(k, 0.0)
-                for k in keys
-            }
-            ctx_router = (1 - blend) * ctx_router + blend * router_load
 
         link_rho = {
             link: min(load * self._burstiness / self._bw, RHO_MAX)
-            for link, load in link_load.items()
+            for link, load in prop.link_load.items()
         }
         saturated = any(
             load * self._burstiness / self._bw > RHO_MAX
-            for load in link_load.values()
+            for load in prop.link_load.values()
         )
         flow_stats = [
-            self._flow_latency(f, split, link_rho, per_hop_cycles, blocked)
-            for f, split, blocked in zip(flows, per_flow_splits, unroutable)
+            self._flow_latency(
+                f,
+                inflow,
+                prop.expansions.get(f.dst),
+                link_rho,
+                per_hop_cycles,
+                blocked,
+            )
+            for f, inflow, blocked in zip(
+                flows, prop.inflows, prop.unroutable
+            )
         ]
         return NocLoadReport(
-            router_flits_per_cycle=router_load,
+            router_flits_per_cycle=prop.router_load,
             link_rho=link_rho,
             flows=flow_stats,
             saturated=saturated,
@@ -258,6 +299,35 @@ class AnalyticalNocModel:
     # Internals
     # ------------------------------------------------------------------
 
+    def _fixed_point(
+        self,
+        flows: Sequence[Flow],
+        psn_pct: np.ndarray,
+        psn_valid: Optional[np.ndarray],
+        dead_links: Set[Tuple[int, Direction]],
+        dead_routers: Set[int],
+    ) -> _Propagation:
+        """Iterate context-dependent routing against its own loads."""
+        # Relaxed copies fed to the routing contexts: adaptive policies
+        # with sharp argmin selection can oscillate between iterations
+        # (all flow flips to the quiet side, which then becomes the loud
+        # side); under-relaxation damps the fixed point.
+        ctx_link: Dict[Tuple[int, Direction], float] = {}
+        ctx_router = np.zeros(self._topo.mesh.tile_count)
+        for it in range(self._iterations):
+            contexts = self._build_contexts(
+                ctx_link, ctx_router, psn_pct, psn_valid
+            )
+            prop = self._propagate(flows, contexts, dead_links, dead_routers)
+            blend = 0.5 if it else 1.0
+            ctx_link = {
+                k: (1 - blend) * ctx_link.get(k, 0.0)
+                + blend * prop.link_load.get(k, 0.0)
+                for k in {**ctx_link, **prop.link_load}
+            }
+            ctx_router = (1 - blend) * ctx_router + blend * prop.router_load
+        return prop
+
     def _build_contexts(
         self,
         link_load: Dict[Tuple[int, Direction], float],
@@ -266,13 +336,12 @@ class AnalyticalNocModel:
         psn_valid: Optional[np.ndarray] = None,
     ) -> List[RoutingContext]:
         """Per-router routing contexts from the previous iteration."""
-        topo = self._topo
+        router_rate = router_load.tolist()
+        psn = psn_pct.tolist()
+        valid = None if psn_valid is None else psn_valid.tolist()
         contexts = []
-        for tile in topo.mesh.tiles():
-            incoming = [
-                link_load.get((topo.neighbor(tile, d), d.opposite), 0.0)
-                for d in topo.out_directions(tile)
-            ]
+        for tile, links in enumerate(self._context_links):
+            incoming = [link_load.get(key, 0.0) for _, _, key, _ in links]
             occupancy = (
                 min(1.0, max(incoming) * self._burstiness / self._bw)
                 if incoming
@@ -282,21 +351,18 @@ class AnalyticalNocModel:
             noise = {}
             trusted = {}
             out_rho = {}
-            for d in topo.out_directions(tile):
-                n = topo.neighbor(tile, d)
-                rates[d] = float(router_load[n])
-                if psn_valid is not None:
-                    trusted[d] = bool(psn_valid[n])
+            for d, n, _, out_key in links:
+                rates[d] = router_rate[n]
+                if valid is not None:
+                    trusted[d] = valid[n]
                 # The sensors a real PANR consults see the *current*
                 # noise, which includes the router activity the routing
                 # itself creates; feeding the running load estimate back
                 # here lets the fixed point co-converge instead of
                 # funnelling all traffic through one "quiet" corridor.
-                noise[d] = float(psn_pct[n]) + self._router_noise * float(
-                    router_load[n]
-                )
+                noise[d] = psn[n] + self._router_noise * router_rate[n]
                 out_rho[d] = min(
-                    link_load.get((tile, d), 0.0) * self._burstiness / self._bw,
+                    link_load.get(out_key, 0.0) * self._burstiness / self._bw,
                     1.0,
                 )
             contexts.append(
@@ -316,80 +382,93 @@ class AnalyticalNocModel:
         contexts: List[RoutingContext],
         dead_links: Set[Tuple[int, Direction]],
         dead_routers: Set[int],
-    ):
+    ) -> _Propagation:
         topo = self._topo
+        weights_of = self._routing.weights
+        hops_from = self._hops_from
         faulty = bool(dead_links or dead_routers)
         link_load: Dict[Tuple[int, Direction], float] = {}
-        router_load = np.zeros(topo.mesh.tile_count)
-        per_flow_splits: List[Dict[int, Dict[Direction, float]]] = []
+        router_load = [0.0] * topo.mesh.tile_count
+        inflows: List[Dict[int, float]] = []
         unroutable: List[bool] = []
+        # The contexts are fixed for this propagation, so one router's
+        # weights towards one destination are too: expand each
+        # (router, destination) pair once.
+        expansions: Dict[int, Dict[int, _Expansion]] = {}
 
         for flow in flows:
-            splits: Dict[int, Dict[Direction, float]] = {}
+            inflow: Dict[int, float] = {}
             blocked = False
-            if flow.rate <= 0.0 or flow.src == flow.dst:
-                per_flow_splits.append(splits)
+            dst = flow.dst
+            if flow.rate <= 0.0 or flow.src == dst:
+                inflows.append(inflow)
                 unroutable.append(False)
                 continue
-            if faulty and (flow.src in dead_routers or flow.dst in dead_routers):
-                per_flow_splits.append(splits)
+            if faulty and (flow.src in dead_routers or dst in dead_routers):
+                inflows.append(inflow)
                 unroutable.append(True)
                 continue
-            # Process nodes in decreasing distance from dst: minimal
-            # routing guarantees each hop reduces the distance, so every
-            # node's inflow is complete by the time it is expanded.
-            pending: Dict[int, float] = {flow.src: flow.rate}
-            while pending:
-                node = max(
-                    pending, key=lambda n: topo.hops(n, flow.dst)
-                )
-                rate = pending.pop(node)
-                router_load[node] += rate
-                if node == flow.dst:
-                    continue
-                weights = self._routing.weights(
-                    topo, node, flow.dst, contexts[node]
-                )
-                if faulty:
-                    # Route around dead components: drop directions over
-                    # a failed link or into a failed router.  When every
-                    # permissible direction is dead the flow's remaining
-                    # rate dies here and the flow is declared unroutable
-                    # (the runtime re-maps the owning application).
-                    weights = {
-                        d: w
-                        for d, w in weights.items()
-                        if (node, d) not in dead_links
-                        and topo.neighbor(node, d) not in dead_routers
-                    }
-                total = sum(weights.values())
-                if total <= 0:
-                    blocked = True
-                    continue
-                node_split: Dict[Direction, float] = {}
-                for d, w in weights.items():
-                    share = rate * w / total
-                    if share <= 0:
+            # Expand nodes a distance level at a time, farthest from dst
+            # first: each minimal hop reduces the distance by one, so
+            # every node's inflow is complete once the level above it
+            # is done.  Within a level, nodes go in first-arrival order.
+            expanded = expansions.setdefault(dst, {})
+            level: Dict[int, float] = {flow.src: flow.rate}
+            while level:
+                pending: Dict[int, float] = {}
+                for node, rate in level.items():
+                    router_load[node] += rate
+                    if node == dst:
                         continue
-                    node_split[d] = share
-                    link = (node, d)
-                    link_load[link] = link_load.get(link, 0.0) + share
-                    nxt = topo.neighbor(node, d)
-                    pending[nxt] = pending.get(nxt, 0.0) + share
-                splits[node] = node_split
-            per_flow_splits.append(splits)
+                    exits = hops_from[node]
+                    expansion = expanded.get(node)
+                    if expansion is None:
+                        weights = weights_of(topo, node, dst, contexts[node])
+                        if faulty:
+                            # Route around dead components: drop
+                            # directions over a failed link or into a
+                            # failed router.  When every permissible
+                            # direction is dead the flow's remaining rate
+                            # dies here and the flow is declared
+                            # unroutable (the runtime re-maps the owning
+                            # application).
+                            weights = {
+                                d: w
+                                for d, w in weights.items()
+                                if (node, d) not in dead_links
+                                and exits[d][1] not in dead_routers
+                            }
+                        expansion = (weights, sum(weights.values()))
+                        expanded[node] = expansion
+                    weights, total = expansion
+                    if total <= 0:
+                        blocked = True
+                        continue
+                    for d, w in weights.items():
+                        link, nxt = exits[d]
+                        share = rate * w / total
+                        if share <= 0:
+                            continue
+                        link_load[link] = link_load.get(link, 0.0) + share
+                        pending[nxt] = pending.get(nxt, 0.0) + share
+                    inflow[node] = rate
+                level = pending
+            inflows.append(inflow)
             unroutable.append(blocked)
-        return link_load, router_load, per_flow_splits, unroutable
+        return _Propagation(
+            link_load, np.array(router_load), inflows, unroutable, expansions
+        )
 
     def _flow_latency(
         self,
         flow: Flow,
-        splits: Dict[int, Dict[Direction, float]],
+        inflow: Dict[int, float],
+        expanded: Optional[Dict[int, _Expansion]],
         link_rho: Dict[Tuple[int, Direction], float],
         per_hop_cycles: float,
         unroutable: bool = False,
     ) -> FlowStats:
-        if flow.src == flow.dst or flow.rate <= 0.0 or not splits:
+        if flow.src == flow.dst or flow.rate <= 0.0 or not inflow:
             return FlowStats(
                 avg_hops=0.0,
                 header_latency_cycles=0.0,
@@ -397,22 +476,31 @@ class AnalyticalNocModel:
                 unroutable=unroutable,
             )
         # Dynamic programming from dst outward over the split DAG.
+        # _propagate recorded nodes farthest-first, level by level, and a
+        # node reads only nodes one hop nearer dst, so the reverse order
+        # has every input ready.
         hops: Dict[int, float] = {flow.dst: 0.0}
         lat: Dict[int, float] = {flow.dst: 0.0}
         worst: Dict[int, float] = {flow.dst: 0.0}
-        nodes = sorted(
-            splits, key=lambda n: self._topo.hops(n, flow.dst)
-        )
-        for node in nodes:
-            node_split = splits[node]
-            total = sum(node_split.values())
+        for node in reversed(inflow):
+            # Re-derive the node's split exactly as _propagate made it.
+            rate = inflow[node]
+            weights, weight_total = expanded[node]
+            exits = self._hops_from[node]
+            shares = []
+            for d, w in weights.items():
+                link, nxt = exits[d]
+                share = rate * w / weight_total
+                if share <= 0:
+                    continue
+                shares.append((share, link, nxt))
+            total = sum(share for share, _, _ in shares)
             if total <= 0:
                 continue
             h = l = 0.0
             w_max = 0.0
-            for d, share in node_split.items():
-                nxt = self._topo.neighbor(node, d)
-                rho = link_rho.get((node, d), 0.0)
+            for share, link, nxt in shares:
+                rho = link_rho.get(link, 0.0)
                 queue = rho / (2.0 * (1.0 - min(rho, RHO_MAX)))
                 frac = share / total
                 h += frac * (1.0 + hops.get(nxt, 0.0))

@@ -23,6 +23,11 @@ class Direction(enum.Enum):
     NORTH = "north"
     SOUTH = "south"
 
+    # Members are singletons compared by identity, so hash by identity
+    # too: Enum's default hashes the member name in Python on every
+    # dict lookup, millions of times per campaign in the routing loops.
+    __hash__ = object.__hash__
+
     @property
     def offset(self) -> Tuple[int, int]:
         return _OFFSETS[self]

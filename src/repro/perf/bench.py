@@ -23,6 +23,9 @@ against a committed baseline (see ``docs/performance.md``):
   ``noc_engine_array_adaptive`` for the PANR context-assembly path);
 * ``noc_engine_batch_loop`` / ``noc_engine_batched`` - a context-free
   sweep as a loop of one-lane engines vs one S-lane lock-step batch;
+* ``noc_analytical_evaluate`` - one flow-based analytical NoC
+  evaluation of a seeded flow set on the 10x6 chip mesh, once under XY
+  and once under PANR (per-policy milliseconds in the meta);
 * ``lint_deep`` - one cold-cache interprocedural parmlint run over
   ``src/repro`` (call-graph build plus every rule);
 * ``routing_sweep_serial`` / ``routing_sweep_parallel`` - the
@@ -446,6 +449,51 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
     }
 
 
+def _analytical_flows(n_tiles: int, seed: int = 11):
+    """Pinned flow set and PSN map for the analytical NoC benchmark:
+    about the traffic of one campaign refresh on the 10x6 chip."""
+    from repro.noc.analytical import Flow
+
+    rng = np.random.default_rng(seed)
+    flows = [
+        Flow(int(src), int(dst), float(rate))
+        for src, dst, rate in zip(
+            rng.integers(0, n_tiles, 64),
+            rng.integers(0, n_tiles, 64),
+            rng.uniform(0.005, 0.05, 64),
+        )
+    ]
+    return flows, rng.uniform(0.0, 8.0, n_tiles)
+
+
+def bench_noc_analytical(quick: bool) -> Dict[str, Dict[str, Any]]:
+    from repro.chip.mesh import MeshGeometry
+    from repro.noc.analytical import AnalyticalNocModel
+    from repro.noc.routing import make_routing
+    from repro.noc.topology import MeshTopology
+
+    topo = MeshTopology(MeshGeometry(10, 6))
+    flows, psn = _analytical_flows(topo.mesh.tile_count)
+    repeats = 5 if quick else 20
+    seconds = {}
+    for policy in ("xy", "panr"):
+        model = AnalyticalNocModel(topo, make_routing(policy))
+        seconds[policy] = _time_best(
+            lambda model=model: model.evaluate(flows, psn_pct=psn), repeats
+        )
+    return {
+        "noc_analytical_evaluate": {
+            "seconds": sum(seconds.values()),
+            "meta": {
+                "mesh": "10x6",
+                "flows": len(flows),
+                "routing": list(seconds),
+                **{f"{p}_ms": s * 1e3 for p, s in seconds.items()},
+            },
+        }
+    }
+
+
 def bench_routing_sweep(quick: bool, workers: int) -> Dict[str, Dict[str, Any]]:
     from repro.exp.routing_sweep import (
         SweepPoint,
@@ -655,6 +703,7 @@ def run_suite(
     benchmarks.update(bench_kernel(quick))
     benchmarks.update(bench_transient(quick))
     benchmarks.update(bench_noc_engine(quick))
+    benchmarks.update(bench_noc_analytical(quick))
     benchmarks.update(bench_lint(quick))
     if "pool" not in skip:
         # Before the e2e/routing suites: those pre-warm the pool, and

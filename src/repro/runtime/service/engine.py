@@ -11,12 +11,18 @@ Model notes (where the service loop differs from
 :class:`~repro.runtime.simulator.RuntimeSimulator`):
 
 * **NoC contention proxy.**  The fixed-sequence simulator re-runs the
-  flow-based analytical NoC model on every occupancy change; at
-  millions of arrivals that is the dominant cost.  The service loop
+  flow-based analytical NoC model on every occupancy change.  In a
+  traced seed-1 perfbench ``campaign`` run on a 2-core host that
+  refresh took 67-70 % of the in-process time (10.3-11.6 of
+  15.1-17.3 s) with the plain fixed point, and 47-49 % (4.1-5.0 of
+  8.4-10.3 s) once context-free policies propagated once and weights
+  were memoised per iteration: still the largest layer, and it would
+  grow with every one of millions of arrivals.  The service loop
   instead scales execution estimates by ``1 + contention_scale *
-  occupied_fraction`` and uses the placement's true mean hop distance -
-  a calibrated occupancy proxy that keeps mapper effects (PARM's
-  placement and Vdd/DoP choices) while staying O(tiles) per refresh.
+  occupied_fraction`` and uses the placement's true mean hop
+  distance - a calibrated occupancy proxy that keeps mapper effects
+  (PARM's placement and Vdd/DoP choices) while staying O(tiles) per
+  refresh.
 * **Deferred VE sampling.**  Instead of Poisson-sampling every tile on
   every event, each running app accrues *expected* VE exposure
   (``expected_rate_hz`` at its noisiest tile, integrated over time) and

@@ -5,7 +5,13 @@ import pytest
 
 from repro.chip.mesh import MeshGeometry
 from repro.noc.analytical import AnalyticalNocModel, Flow
-from repro.noc.routing import IconRouting, PanrRouting, WestFirstRouting, XYRouting
+from repro.noc.routing import (
+    IconRouting,
+    OddEvenRouting,
+    PanrRouting,
+    WestFirstRouting,
+    XYRouting,
+)
 from repro.noc.topology import Direction, MeshTopology
 
 
@@ -131,3 +137,79 @@ class TestPolicyBehaviour:
         a = model(topo, PanrRouting()).evaluate(flows)
         b = model(topo, PanrRouting()).evaluate(flows)
         assert a.link_rho == b.link_rho
+
+
+def distinct_expansions(topo, routing, flows):
+    """(router, destination) pairs one propagation expands: every router
+    a flow reaches over permissible directions, short of its
+    destination."""
+    pairs = set()
+    for f in flows:
+        if f.rate <= 0.0 or f.src == f.dst:
+            continue
+        frontier = [f.src]
+        while frontier:
+            node = frontier.pop()
+            if node == f.dst or (node, f.dst) in pairs:
+                continue
+            pairs.add((node, f.dst))
+            frontier.extend(
+                topo.neighbor(node, d)
+                for d in routing.permissible(topo, node, f.dst)
+            )
+    return pairs
+
+
+def counted_weights(routing):
+    """Wrap ``routing.weights`` on the instance; return the call list."""
+    calls = []
+    inner = routing.weights
+
+    def weights(topo, cur, dst, ctx):
+        calls.append((cur, dst))
+        return inner(topo, cur, dst, ctx)
+
+    routing.weights = weights
+    return calls
+
+
+class TestWeightCalls:
+    """Each propagation asks the policy for a (router, destination)
+    pair's weights once, and a context-free policy propagates once."""
+
+    @staticmethod
+    def overlapping_flows(n_tiles):
+        rng = np.random.default_rng(3)
+        flows = [
+            Flow(int(s), int(d), 0.02)
+            for s, d in zip(
+                rng.integers(0, n_tiles, 30), rng.integers(0, n_tiles, 30)
+            )
+        ]
+        # Several flows into one destination share most of their DAGs.
+        return flows + [Flow(s, n_tiles - 1, 0.03) for s in (0, 1, 2, 6)]
+
+    @pytest.mark.parametrize(
+        "policy", [XYRouting, WestFirstRouting, OddEvenRouting]
+    )
+    def test_context_free_policy_expands_each_pair_once(self, topo, policy):
+        routing = policy()
+        flows = self.overlapping_flows(topo.mesh.tile_count)
+        expected = distinct_expansions(topo, routing, flows)
+        calls = counted_weights(routing)
+        model(topo, routing, iterations=4).evaluate(flows)
+        assert len(calls) == len(expected)
+        assert set(calls) == expected
+
+    @pytest.mark.parametrize("policy", [PanrRouting, IconRouting])
+    def test_adaptive_policy_expands_each_pair_once_per_iteration(
+        self, topo, policy
+    ):
+        routing = policy()
+        flows = self.overlapping_flows(topo.mesh.tile_count)
+        expected = distinct_expansions(topo, routing, flows)
+        calls = counted_weights(routing)
+        psn = np.linspace(0.0, 6.0, topo.mesh.tile_count)
+        model(topo, routing, iterations=4).evaluate(flows, psn_pct=psn)
+        assert set(calls) <= expected
+        assert len(calls) <= 4 * len(expected)

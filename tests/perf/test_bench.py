@@ -76,6 +76,15 @@ class TestPinnedWorkloads:
         # the lane-identity contract on the quick workload.
         assert result["noc_engine_batched"]["meta"]["lanes"] == 8
 
+    def test_noc_analytical_bench_smoke(self):
+        result = bench.bench_noc_analytical(quick=True)
+        assert set(result) == {"noc_analytical_evaluate"}
+        entry = result["noc_analytical_evaluate"]
+        assert entry["seconds"] > 0
+        assert entry["meta"]["mesh"] == "10x6"
+        assert entry["meta"]["routing"] == ["xy", "panr"]
+        assert entry["meta"]["xy_ms"] > 0 and entry["meta"]["panr_ms"] > 0
+
     def test_lint_bench_smoke(self):
         result = bench.bench_lint(quick=True)
         assert set(result) == {"lint_deep"}
