@@ -19,8 +19,7 @@ import numpy as np
 from repro.apps.profiles import AppKind, BenchmarkSpec, build_profile
 from repro.chip import default_chip
 from repro.core import ParmManager
-from repro.noc import BatchedNocEngine
-from repro.noc.cycle import TrafficFlow
+from repro.noc import BatchedNocEngine, TrafficFlow
 from repro.noc.routing import make_routing
 from repro.pdn.fast import FastPsnModel
 from repro.pdn.waveforms import TileLoad

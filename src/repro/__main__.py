@@ -14,7 +14,7 @@ Usage::
     python -m repro bench [--quick]       # pinned microbenchmarks
                                           # (see docs/performance.md)
     python -m repro routing --workers 4   # routing-policy sweep on the
-                                          # array NoC engine
+                                          # batched flit-level NoC engine
     python -m repro verify --confidence 0.95 --half-width 0.02
                                           # stop-when-confident interval
                                           # estimation

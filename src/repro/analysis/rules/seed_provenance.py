@@ -31,7 +31,16 @@ this rule only fires on constructors given at least one argument.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.engine import ModuleInfo, ProjectContext, ProjectRule
 from repro.analysis.findings import Finding
@@ -73,6 +82,28 @@ def _seeding_module_aliases(mod: ModuleInfo) -> Set[str]:
     )
 
 
+class _ModuleAliases(NamedTuple):
+    """One module's import aliases, each a walk of the whole module AST.
+
+    Built once per module per check, not once per traced function.
+    """
+
+    derive: Set[str]
+    seeding_mods: Set[str]
+    rng_modules: Set[str]
+    ctor_locals: Dict[str, str]
+
+
+def _module_aliases(mod: ModuleInfo) -> _ModuleAliases:
+    rng_modules, ctor_locals = _ctor_aliases(mod)
+    return _ModuleAliases(
+        _derive_aliases(mod),
+        _seeding_module_aliases(mod),
+        rng_modules,
+        ctor_locals,
+    )
+
+
 class _Tracer:
     """Intra-procedural seed-provenance tracking for one callable."""
 
@@ -82,13 +113,14 @@ class _Tracer:
         fn: ast.AST,
         summaries: Dict[str, bool],
         resolve_call: "_CallResolver",
+        aliases: _ModuleAliases,
     ) -> None:
         self._mod = mod
         self._fn = fn
         self._summaries = summaries
         self._resolve = resolve_call
-        self._derive_aliases = _derive_aliases(mod)
-        self._seeding_mods = _seeding_module_aliases(mod)
+        self._derive_aliases = aliases.derive
+        self._seeding_mods = aliases.seeding_mods
         self.ok: Set[str] = set()
         args = getattr(fn, "args", None)
         if args is not None:
@@ -286,7 +318,10 @@ class SeedProvenanceRule(ProjectRule):
     )
 
     def _compute_summaries(
-        self, ctx: ProjectContext, resolve: _CallResolver
+        self,
+        ctx: ProjectContext,
+        resolve: _CallResolver,
+        aliases: Dict[str, _ModuleAliases],
     ) -> Dict[str, bool]:
         """Fixpoint: does a function's every return trace to a seed origin?"""
         summaries: Dict[str, bool] = {}
@@ -297,7 +332,9 @@ class SeedProvenanceRule(ProjectRule):
                 mod, fn = ctx.functions[qname]
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                tracer = _Tracer(mod, fn, summaries, resolve)
+                tracer = _Tracer(
+                    mod, fn, summaries, resolve, aliases[mod.rel]
+                )
                 tracer.walk()
                 verdict = tracer.saw_return and tracer.returns_ok
                 if summaries.get(qname) != verdict:
@@ -309,26 +346,25 @@ class SeedProvenanceRule(ProjectRule):
 
     def check_graph(self, ctx: ProjectContext) -> Iterable[Finding]:
         resolve = _CallResolver(ctx)
-        summaries = self._compute_summaries(ctx, resolve)
+        # Keyed by path: ModuleInfo itself is unhashable.
+        aliases = {mod.rel: _module_aliases(mod) for mod in ctx.modules}
+        summaries = self._compute_summaries(ctx, resolve, aliases)
         findings: List[Finding] = []
-        for qname in sorted(ctx.functions):
-            mod, fn = ctx.functions[qname]
-            rng_modules, ctor_locals = _ctor_aliases(mod)
-            if not rng_modules and not ctor_locals:
-                continue
-            tracer = _Tracer(mod, fn, summaries, resolve)
-            findings.extend(
-                self._check_callable(mod, fn, tracer, rng_modules, ctor_locals)
-            )
+        callables = [ctx.functions[qname] for qname in sorted(ctx.functions)]
         # Module top level: constructors outside any def.
-        for mod in ctx.modules:
-            rng_modules, ctor_locals = _ctor_aliases(mod)
-            if not rng_modules and not ctor_locals:
+        callables.extend((mod, mod.tree) for mod in ctx.modules)
+        for mod, fn in callables:
+            mod_aliases = aliases[mod.rel]
+            if not mod_aliases.rng_modules and not mod_aliases.ctor_locals:
                 continue
-            tracer = _Tracer(mod, mod.tree, summaries, resolve)
+            tracer = _Tracer(mod, fn, summaries, resolve, mod_aliases)
             findings.extend(
                 self._check_callable(
-                    mod, mod.tree, tracer, rng_modules, ctor_locals
+                    mod,
+                    fn,
+                    tracer,
+                    mod_aliases.rng_modules,
+                    mod_aliases.ctor_locals,
                 )
             )
         unique = {(f.path, f.line, f.message): f for f in findings}

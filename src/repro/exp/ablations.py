@@ -28,8 +28,7 @@ from repro.core.base import MappingDecision, ResourceManager
 from repro.core.clustering import cluster_tasks
 from repro.core.placement import place_clusters
 from repro.core.selection import ParmManager
-from repro.noc.cycle import TrafficFlow
-from repro.noc.batch import BatchedNocEngine
+from repro.noc.batch import BatchedNocEngine, TrafficFlow
 from repro.noc.routing import PanrRouting, make_routing
 from repro.runtime.simulator import RuntimeSimulator
 from repro.runtime.state import ChipState

@@ -264,8 +264,8 @@ def fault_noc_sweep(
     the flit-level engine runs uniform-random traffic under that field
     for every policy.  All of a policy's (intensity, seed) grid points
     are lanes of one :class:`~repro.noc.batch.BatchedNocEngine` pass,
-    each lane with its own PSN field and byte-identical to a legacy
-    oracle run.
+    each lane with its own PSN field and byte-identical to a one-lane
+    run.
 
     Traffic is re-used across intensities (one pattern per seed), so
     rows measure pure fault-load response, not traffic noise.
@@ -278,8 +278,7 @@ def fault_noc_sweep(
         ConfigError: on empty grids or out-of-range parameters.
     """
     from repro.harness.seeding import derive_seed
-    from repro.noc.batch import BatchedNocEngine
-    from repro.noc.cycle.simulator import TrafficFlow
+    from repro.noc.batch import BatchedNocEngine, TrafficFlow
     from repro.noc.routing import make_routing
 
     seeds = tuple(seeds)

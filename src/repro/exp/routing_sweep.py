@@ -3,8 +3,8 @@
 Extension experiment comparing the paper's PANR against XY, odd-even
 and ICON on the flit-level mesh model, across offered load.  Sweep
 points run on the :class:`~repro.noc.batch.BatchedNocEngine` (every
-lane pinned flit-for-flit equivalent of the legacy cycle simulator) on
-an 8x8 mesh with a synthetic PSN hotspot band across the middle rows -
+lane pinned flit-for-flit against the test suite's reference
+simulator) on an 8x8 mesh with a synthetic PSN hotspot band across the middle rows -
 the setting where PSN-aware adaptivity should pay off - under
 uniform-random traffic.
 
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
-from repro.noc.cycle.simulator import TrafficFlow
+from repro.noc.batch import TrafficFlow
 from repro.noc.routing import make_routing
 
 #: Policies compared by default (evaluation names of ``make_routing``).
@@ -143,8 +143,8 @@ def run_batch(points: Sequence[SweepPoint]) -> List[PointResult]:
 
     Module-level ``map_tasks`` task: every point becomes one lane of a
     :class:`~repro.noc.batch.BatchedNocEngine`, so the whole group
-    advances through shared vectorised phases.  Each lane is pinned
-    flit-for-flit identical to the legacy oracle.  Points must agree on
+    advances through shared vectorised phases.  Each lane is
+    byte-identical to a one-point batch.  Points must agree on
     everything except rate and seed - :func:`routing_sweep` groups them
     that way.
     """

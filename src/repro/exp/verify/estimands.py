@@ -474,8 +474,8 @@ class PacketLatencyEstimand:
 
         Every replica keeps its own derived traffic/pick sub-streams and
         advances as one lane of a
-        :class:`~repro.noc.batch.BatchedNocEngine` (each lane pinned
-        flit-for-flit against the legacy oracle), so the values do not
+        :class:`~repro.noc.batch.BatchedNocEngine` (each lane
+        byte-identical to a one-lane run), so the values do not
         depend on how seeds are grouped into batches.
         """
         from repro.chip.mesh import MeshGeometry

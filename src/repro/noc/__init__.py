@@ -17,12 +17,11 @@ for micro-experiments such as the routing sweep and the buffer
 threshold ablation, and a flow-based analytical model
 (:mod:`repro.noc.analytical`) fast enough to sit inside the runtime loop
 while preserving the routing-policy-dependent link loads and latencies.
-The cycle model has two implementations: the readable object-per-flit
-:class:`~repro.noc.cycle.CycleNocSimulator` oracle and the
-structure-of-arrays :class:`~repro.noc.batch.BatchedNocEngine` fast
-path, which advances one or many independent simulations (lanes) in one
-vectorised lock-step pass for every policy, each lane pinned
-flit-for-flit identical to the oracle by the equivalence suites.
+The cycle model is the structure-of-arrays
+:class:`~repro.noc.batch.BatchedNocEngine`, which advances one or many
+independent simulations (lanes) in one vectorised lock-step pass for
+every policy.  The test suite pins each lane flit for flit against an
+object-per-flit reference simulator.
 """
 
 from repro.noc.topology import Direction, MeshTopology
@@ -36,7 +35,7 @@ from repro.noc.routing import (
     make_routing,
 )
 from repro.noc.analytical import AnalyticalNocModel, Flow, NocLoadReport
-from repro.noc.batch import BatchedNocEngine
+from repro.noc.batch import BatchedNocEngine, NocSimStats, TrafficFlow
 from repro.noc.overhead import panr_router_overhead, OverheadReport
 
 __all__ = [
@@ -53,6 +52,8 @@ __all__ = [
     "BatchedNocEngine",
     "Flow",
     "NocLoadReport",
+    "NocSimStats",
+    "TrafficFlow",
     "panr_router_overhead",
     "OverheadReport",
 ]

@@ -1,17 +1,25 @@
-"""Structure-of-arrays cycle engine for the mesh NoC: S meshes in lock-step.
+"""Flit-level cycle engine for the mesh NoC: S meshes in lock-step.
 
-:class:`BatchedNocEngine` is the flit-level fast path of the cycle
-model: a flit-for-flit equivalent reimplementation of
-:class:`repro.noc.cycle.CycleNocSimulator` (the readable oracle) that
-advances ``S`` *independent* mesh simulations at once.  A scalar run
-is a one-lane batch.  The key observation is that a batch of S
-independent ``n``-tile meshes is exactly one *disconnected* mesh of
-``S * n`` tiles: lane ``k`` owns the tile block ``[k*n, (k+1)*n)``,
+:class:`BatchedNocEngine` models input-buffered wormhole routers with
+one virtual channel, credit flow control, round-robin arbitration and
+pluggable routing.  Each cycle injects offered traffic into the LOCAL
+ports, routes head flits, moves at most one flit per output port when
+the downstream buffer has a credit, and ejects flits at their
+destination; a packet's latency is recorded when its tail ejects.
+Data rates are measured over a window of :data:`RATE_WINDOW` cycles
+(the registers PANR's hardware keeps per neighbour).  The engine runs
+the routing sweep, the fault NoC sweep and the buffer-threshold
+ablation; the long Fig. 6-8 sweeps use :mod:`repro.noc.analytical`.
+
+The engine advances ``S`` *independent* mesh simulations at once; a
+scalar run is a one-lane batch.  The key observation is that a batch
+of S independent ``n``-tile meshes is exactly one *disconnected* mesh
+of ``S * n`` tiles: lane ``k`` owns the tile block ``[k*n, (k+1)*n)``,
 the downstream-lookup tables are the block-diagonal tiling of the
 single-mesh tables (``neighbor + k*n``), and no array operation ever
 couples tiles of different blocks.  ``np.nonzero`` scans the flat
 state lane-major, then tile-ascending, which within each lane is
-exactly the oracle's router order.
+exactly the router order of a one-mesh simulation.
 
 The whole network state lives in preallocated numpy int arrays and
 each cycle phase runs as a handful of vectorised operations:
@@ -33,16 +41,16 @@ each cycle phase runs as a handful of vectorised operations:
   most five request edges per tile, and the winning moves commit with
   vectorised scatter/gather.
 
-The commit can be vectorised *exactly* because the oracle's move loop
+The commit can be vectorised *exactly* because a sequential move loop
 is order-independent: an input port wins at most one output per cycle
 (so pops never collide), a downstream input port has exactly one
-upstream ``(tile, output)`` (so pushes never collide and the oracle's
+upstream ``(tile, output)`` (so pushes never collide and a credit
 re-check can never fail), and a circular FIFO's append slot ``head +
 occupancy`` is invariant under its own pop.  ``routing.select`` is
 pure, so the order of one cycle's route decisions across lanes cannot
-change any of them.  ``tests/noc/test_noc_engine.py`` and
-``tests/noc/test_batch_engine.py`` pin every lane of every policy
-against the oracle.
+change any of them.  The test suite keeps an object-per-flit reference
+simulator (the oracle the comments below refer to) and pins every lane
+of every policy against it.
 
 What batching buys (measured in ``python -m repro bench``,
 ``noc_engine_batch_speedup``): the per-cycle python overhead - ~20
@@ -54,12 +62,13 @@ build is paid once instead of S times.  Adaptive lanes keep one
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
-from repro.noc.cycle.simulator import NocSimStats, TrafficFlow
 from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
 from repro.noc.topology import (
     Direction,
@@ -68,6 +77,12 @@ from repro.noc.topology import (
     PORT_CODES,
     PORT_DIRECTIONS,
 )
+
+#: Input FIFO depth in flits.
+BUFFER_DEPTH = 8
+
+#: Cycles per data-rate measurement window.
+RATE_WINDOW = 64
 
 #: Port code of the LOCAL (injection/ejection) port.
 _LOCAL = PORT_CODES[Direction.LOCAL]
@@ -86,6 +101,59 @@ _PACKED_NONE = 63
 _MIN_PACKET_CAPACITY = 1024
 
 
+@dataclass(frozen=True)
+class TrafficFlow:
+    """Offered traffic: packets of ``packet_size`` flits from src to dst
+    at ``rate`` flits/cycle."""
+
+    src: int
+    dst: int
+    rate: float
+    packet_size: int = 8
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.rate) or self.rate < 0:
+            raise ValueError("rate must be finite and non-negative")
+        if self.packet_size < 1:
+            raise ValueError("packet_size must be at least 1")
+
+
+@dataclass
+class NocSimStats:
+    """Aggregate results of a cycle-level simulation."""
+
+    cycles: int
+    packets_injected: int
+    packets_delivered: int
+    flits_delivered: int
+    packet_latencies: List[int] = field(default_factory=list)
+    #: Per-router forwarded-flit rate; ``None`` until a run fills it in.
+    router_flits_per_cycle: Optional[np.ndarray] = None
+
+    @property
+    def avg_packet_latency(self) -> float:
+        if not self.packet_latencies:
+            return 0.0
+        return float(np.mean(self.packet_latencies))
+
+    @property
+    def p95_packet_latency(self) -> float:
+        if not self.packet_latencies:
+            return 0.0
+        return float(np.percentile(self.packet_latencies, 95))
+
+    @property
+    def peak_router_flits_per_cycle(self) -> float:
+        """Largest per-router forwarding rate (0.0 before any run)."""
+        if self.router_flits_per_cycle is None:
+            return 0.0
+        return float(np.max(self.router_flits_per_cycle))
+
+    @property
+    def throughput_flits_per_cycle(self) -> float:
+        return self.flits_delivered / self.cycles if self.cycles else 0.0
+
+
 class BatchedNocEngine:
     """S independent mesh simulations as one flat lock-step engine.
 
@@ -93,24 +161,17 @@ class BatchedNocEngine:
     flows, injection accumulators, FIFOs, wormhole state, PSN field,
     data-rate window and stats.  :meth:`run` advances every lane the
     same number of cycles and returns one :class:`NocSimStats` per
-    lane, each byte-identical to what the legacy oracle
-    ``CycleNocSimulator(mesh, routing, ...).run(lane_flows, cycles)``
-    produces for that lane's traffic.
+    lane, each byte-identical to a one-lane run of that lane's traffic
+    and PSN field.  Input FIFOs hold :data:`BUFFER_DEPTH` flits and
+    data rates are measured over :data:`RATE_WINDOW` cycles.
 
     Args:
         mesh: Tile mesh (shared by every lane).
         routing: Routing policy (context-free or adaptive).
         n_lanes: Number of independent simulations ``S``.
-        buffer_depth: Input FIFO depth in flits.
         psn_pct: Optional PSN sensor readings for PSN-aware policies
             (zeros if omitted): ``(n,)`` applies the same field to
-            every lane, ``(S, n)`` gives each lane its own.  Update
-            mid-run via :meth:`set_psn`.
-        rate_window: Cycles per data-rate measurement window.
-        topology: Optional pre-built :class:`MeshTopology` to adopt
-            (one topology, with its lookup tables, can serve every
-            engine built over the same mesh).  Must match ``mesh``;
-            never mutated.
+            every lane, ``(S, n)`` gives each lane its own.
     """
 
     #: Topology-derived lookup tables, shared by every lane and
@@ -141,26 +202,12 @@ class BatchedNocEngine:
         mesh: MeshGeometry,
         routing: RoutingAlgorithm,
         n_lanes: int = 1,
-        buffer_depth: int = 8,
         psn_pct: Optional[np.ndarray] = None,
-        rate_window: int = 64,
-        topology: Optional[MeshTopology] = None,
     ):
         if n_lanes < 1:
             raise ValueError("n_lanes must be at least 1")
-        if buffer_depth < 1:
-            raise ValueError("buffer_depth must be at least 1")
-        if topology is None:
-            self._topo = MeshTopology(mesh)
-        else:
-            if (
-                topology.mesh.width != mesh.width
-                or topology.mesh.height != mesh.height
-            ):
-                raise ValueError("adopted topology does not match the mesh")
-            self._topo = topology
+        self._topo = MeshTopology(mesh)
         self._routing = routing
-        self._depth = buffer_depth
         n = mesh.tile_count
         s = n_lanes
         flat = s * n
@@ -179,7 +226,6 @@ class BatchedNocEngine:
                 raise ValueError(
                     "psn_pct must be (tiles,) shared or (lanes, tiles)"
                 )
-        self._rate_window = rate_window
         #: Per-flat-tile incoming data rate of the last complete window.
         self._rates = np.zeros(flat)
         self._cycle = 0
@@ -188,10 +234,10 @@ class BatchedNocEngine:
         # --- structure-of-arrays network state -------------------------
         # Lane k owns rows [k*n, (k+1)*n).
         self._buf_pkt_id = np.full(
-            (flat, _N_PORTS, buffer_depth), -1, np.int64
+            (flat, _N_PORTS, BUFFER_DEPTH), -1, np.int64
         )
         self._buf_flit_idx = np.zeros(
-            (flat, _N_PORTS, buffer_depth), np.int64
+            (flat, _N_PORTS, BUFFER_DEPTH), np.int64
         )
         self._head_slot = np.zeros((flat, _N_PORTS), np.int64)
         self._occ_flits = np.zeros((flat, _N_PORTS), np.int64)
@@ -231,7 +277,7 @@ class BatchedNocEngine:
         self._packed_rr = ((ii - rr) % _N_PORTS) * 8 + ii
         self._flat_slot_base = np.arange(
             flat * _N_PORTS, dtype=np.int64
-        ) * buffer_depth
+        ) * BUFFER_DEPTH
         # Flat tile -> (lane, in-mesh tile) decompositions, for
         # per-lane stats splits and local route-table gathers.
         self._tile_lane = np.repeat(np.arange(s, dtype=np.int64), n)
@@ -270,44 +316,6 @@ class BatchedNocEngine:
         )
         self._empty_ctx = RoutingContext()
 
-    @property
-    def topology(self) -> MeshTopology:
-        return self._topo
-
-    @property
-    def n_lanes(self) -> int:
-        return self._n_lanes
-
-    def set_psn(
-        self, psn_pct: np.ndarray, lane: Optional[int] = None
-    ) -> None:
-        """Replace PSN sensor readings mid-run.
-
-        With ``lane`` given, only that lane's ``(n,)`` field changes -
-        sibling lanes are untouched.  Without it, a ``(S, n)`` array
-        replaces every lane's field and a ``(n,)`` array is applied to
-        all lanes (2-D input is always read as per-lane).
-        """
-        psn = np.asarray(psn_pct, float)
-        n = self._n_local
-        if lane is not None:
-            if not 0 <= lane < self._n_lanes:
-                raise ValueError("lane out of range")
-            if psn.shape != (n,):
-                raise ValueError("psn_pct must have one entry per tile")
-            self._psn[lane] = psn
-            self._psn_dicts[lane * n:(lane + 1) * n] = [None] * n
-            return
-        if psn.shape == (self._n_lanes, n):
-            self._psn[:] = psn
-        elif psn.shape == (n,):
-            self._psn[:] = psn[None, :]
-        else:
-            raise ValueError(
-                "psn_pct must be (tiles,) shared or (lanes, tiles)"
-            )
-        self._psn_dicts = [None] * self._n_tiles
-
     # ------------------------------------------------------------------
 
     def run(
@@ -317,11 +325,10 @@ class BatchedNocEngine:
     ) -> List[NocSimStats]:
         """Advance every lane ``cycles`` cycles; one stats per lane.
 
-        ``flows[k]`` is lane ``k``'s offered traffic, exactly as the
-        oracle's :meth:`CycleNocSimulator.run` takes it.  In-flight
-        flits, wormhole state, data rates and the cycle count carry
-        over to the next call; as in the oracle, injection backlog and
-        the open data-rate window's flit count are per call.
+        ``flows[k]`` is lane ``k``'s offered traffic.  In-flight flits,
+        wormhole state, data rates and the cycle count carry over to
+        the next call; the injection backlog and the open data-rate
+        window's flit count are per call.
         """
         if cycles < 1:
             raise ValueError("cycles must be at least 1")
@@ -380,7 +387,7 @@ class BatchedNocEngine:
         lat_lanes: List[np.ndarray] = []
         lat_vals: List[np.ndarray] = []
         window_in = np.zeros(self._n_tiles)
-        depth = self._depth
+        depth = BUFFER_DEPTH
         flat = self._n_tiles
         occ = self._occ_flits
         head_slot = self._head_slot
@@ -629,8 +636,8 @@ class BatchedNocEngine:
                     )
 
             # --- data-rate measurement window --------------------------
-            if self._cycle % self._rate_window == 0:
-                self._rates = window_in / self._rate_window
+            if self._cycle % RATE_WINDOW == 0:
+                self._rates = window_in / RATE_WINDOW
                 window_in = np.zeros(flat)
                 self._rate_dicts = [None] * flat
 
@@ -753,7 +760,7 @@ class BatchedNocEngine:
         neighbour PSN and data rates.
         """
         n = self._n_local
-        depth = self._depth
+        depth = BUFFER_DEPTH
         occ = self._occ_flits
         local = self._tile_local.take(t_idx).tolist()
         own_occ = occ[t_idx, p_idx].tolist()
@@ -794,30 +801,3 @@ class BatchedNocEngine:
                 raise RuntimeError(f"route off mesh edge at tile {cur}")
             out[k] = code
         return out
-
-
-def build_route_table(
-    mesh: MeshGeometry,
-    routing: RoutingAlgorithm,
-    topology: Optional[MeshTopology] = None,
-) -> np.ndarray:
-    """Complete ``(n, n)`` int8 route table of a context-free policy.
-
-    Runs the engine's own lazy column builder for every destination, so
-    the result is byte-for-byte what an engine would build on demand.
-
-    Args:
-        mesh: Tile mesh.
-        routing: A context-free routing policy.
-        topology: Optional pre-built topology to route over.
-
-    Raises:
-        ValueError: when ``routing`` is adaptive (no table exists).
-    """
-    if not routing.context_free:
-        raise ValueError(
-            "route tables exist only for context-free policies"
-        )
-    engine = BatchedNocEngine(mesh, routing, topology=topology)
-    engine._build_route_columns(np.arange(mesh.tile_count, dtype=np.int64))
-    return engine._route_table

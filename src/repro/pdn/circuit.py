@@ -98,22 +98,13 @@ class _TransientPlan:
     many waveforms and supply voltages.
     """
 
-    method: str
-    dt_s: float
     n: int
     n_l: int
-    n_v: int
     size: int
     lu: object
     condition_ratio: float
     cap_g: np.ndarray
     ind_r: np.ndarray
-    cap_a: np.ndarray
-    cap_b: np.ndarray
-    ind_a: np.ndarray
-    ind_b: np.ndarray
-    isrc_f: np.ndarray
-    isrc_t: np.ndarray
     # Precomputed step operators (see _transient_plan): source scatter
     # (size, n_src, sparse - applied once per solve over the whole
     # window), capacitor history scatter (size, n_cap) and the
@@ -132,12 +123,6 @@ class _TransientPlan:
     __shared_readonly__ = (
         "cap_g",
         "ind_r",
-        "cap_a",
-        "cap_b",
-        "ind_a",
-        "ind_b",
-        "isrc_f",
-        "isrc_t",
         "src_mat",
         "cap_mat",
         "cap_diff",
@@ -596,22 +581,13 @@ class Circuit:
         n_src = len(self._isources)
 
         plan = _TransientPlan(
-            method=method,
-            dt_s=dt,
             n=n,
             n_l=n_l,
-            n_v=n_v,
             size=size,
             lu=lu,
             condition_ratio=float(cond),
             cap_g=cap_g,
             ind_r=ind_r,
-            cap_a=cap_a,
-            cap_b=cap_b,
-            ind_a=ind_a,
-            ind_b=ind_b,
-            isrc_f=isrc_f,
-            isrc_t=isrc_t,
             src_mat=incidence(
                 ((isrc_f, -1.0), (isrc_t, 1.0)), (size, n_src)
             ),

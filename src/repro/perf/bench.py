@@ -17,10 +17,10 @@ against a committed baseline (see ``docs/performance.md``):
   sweep run serially and with worker processes (plus the derived
   speedup); the parallel leg runs against a pre-warmed pool so it
   times steady-state task throughput, not spawn cost;
-* ``noc_engine_legacy`` / ``noc_engine_array`` - the flit-level cycle
-  model at 8x8 saturation: object-per-flit reference vs a one-lane
-  :class:`~repro.noc.batch.BatchedNocEngine` run (plus
-  ``noc_engine_array_adaptive`` for the PANR context-assembly path);
+* ``noc_engine_array`` / ``noc_engine_array_adaptive`` - the
+  flit-level cycle model at 8x8 saturation: a one-lane
+  :class:`~repro.noc.batch.BatchedNocEngine` run under XY and under
+  PANR (the context-assembly path);
 * ``noc_engine_batch_loop`` / ``noc_engine_batched`` - a context-free
   sweep as a loop of one-lane engines vs one S-lane lock-step batch;
 * ``noc_analytical_evaluate`` - one flow-based analytical NoC
@@ -336,7 +336,6 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
     from repro.chip.mesh import MeshGeometry
     from repro.exp.routing_sweep import hotspot_psn, uniform_random_flows
     from repro.noc.batch import BatchedNocEngine
-    from repro.noc.cycle import CycleNocSimulator
     from repro.noc.routing import make_routing
 
     mesh = MeshGeometry(8, 8)
@@ -351,11 +350,6 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
             mesh, make_routing(policy), psn_pct=psn
         ).run([lane_flows], run_cycles)
         return stats
-
-    def legacy() -> None:
-        CycleNocSimulator(
-            mesh, make_routing("xy"), psn_pct=psn, seed=3
-        ).run(flows, cycles)
 
     def array() -> None:
         one_lane("xy", flows, cycles)
@@ -426,10 +420,6 @@ def bench_noc_engine(quick: bool) -> Dict[str, Dict[str, Any]]:
         "cycles": batch_cycles,
     }
     return {
-        "noc_engine_legacy": {
-            "seconds": _time_best(legacy, repeats),
-            "meta": {**meta, "routing": "xy", "engine": "CycleNocSimulator"},
-        },
         "noc_engine_array": {
             "seconds": _time_best(array, repeats),
             "meta": {**meta, "routing": "xy"},
@@ -727,7 +717,6 @@ def run_suite(
         ("transient_warm_speedup", "transient_solve_cold", "transient_solve_warm"),
         ("e2e_parallel_speedup", "e2e_sweep_serial", "e2e_sweep_parallel"),
         ("pool_reuse_speedup", "pool_warmup", "pool_reuse"),
-        ("noc_engine_speedup", "noc_engine_legacy", "noc_engine_array"),
         (
             "noc_engine_batch_speedup",
             "noc_engine_batch_loop",

@@ -6,7 +6,6 @@ import pytest
 from repro.exp.routing_sweep import (
     DEFAULT_POLICIES,
     SweepPoint,
-    _point_result,
     hotspot_psn,
     main,
     print_routing_sweep,
@@ -16,8 +15,6 @@ from repro.exp.routing_sweep import (
 )
 from repro.chip.mesh import MeshGeometry
 from repro.harness.errors import ConfigError
-from repro.noc.cycle import CycleNocSimulator
-from repro.noc.routing import make_routing
 from repro.perf.parallel import map_tasks
 
 SMALL = dict(
@@ -115,19 +112,10 @@ class TestMapTasks:
         assert map_tasks(lambda x: x + 1, [1, 2], workers=1) == [2, 3]
 
 
-def oracle_result(point):
-    """One sweep point simulated on the legacy cycle simulator."""
-    mesh = MeshGeometry(point.mesh_width, point.mesh_height)
-    flows = uniform_random_flows(
-        mesh, point.injection_rate_flits, point.seed, point.packet_size_flits
-    )
-    oracle = CycleNocSimulator(
-        mesh, make_routing(point.policy), psn_pct=hotspot_psn(mesh)
-    )
-    return _point_result(point, oracle.run(flows, point.cycles))
-
-
 class TestRunBatch:
+    # Parity of run_batch against the reference simulator lives next to
+    # that oracle, in tests/noc/test_sweep_oracle.py.
+
     def points(self, policy="xy", n=4):
         return [
             SweepPoint(policy=policy, injection_rate_flits=rate, seed=seed,
@@ -137,13 +125,11 @@ class TestRunBatch:
         ][:n]
 
     def test_batch_matches_scalar_points(self):
+        # Packing points as lanes of one batch is invisible: each row
+        # equals that point run as a one-point batch.
         for policy in ("xy", "panr"):
             points = self.points(policy)
-            assert run_batch(points) == [oracle_result(p) for p in points]
-
-    def test_single_point_batch_matches_scalar(self):
-        points = self.points("icon", n=1)
-        assert run_batch(points) == [oracle_result(points[0])]
+            assert run_batch(points) == [run_batch([p])[0] for p in points]
 
     def test_empty_batch(self):
         assert run_batch([]) == []

@@ -210,31 +210,6 @@ class TestBatchedSampling:
                 estimand.sample(seed) for seed in seeds
             ]
 
-    def test_sample_batch_adaptive_matches_oracle(self):
-        # PANR replicas run as batch lanes; each value must be the pick
-        # from a legacy simulator run of that replica's traffic.
-        from repro.chip.mesh import MeshGeometry
-        from repro.exp.routing_sweep import hotspot_psn, uniform_random_flows
-        from repro.noc.cycle import CycleNocSimulator
-        from repro.noc.routing import make_routing
-
-        estimand = self._estimand("panr")
-        mesh = MeshGeometry(4, 4)
-        seeds = [derive_seed(0, "verify/latency/replica", i)
-                 for i in range(2)]
-        expected = []
-        for seed in seeds:
-            flows = uniform_random_flows(
-                mesh, estimand.injection_rate_flits,
-                derive_seed(seed, "verify/latency/traffic", 0),
-                estimand.packet_size_flits,
-            )
-            stats = CycleNocSimulator(
-                mesh, make_routing("panr"), psn_pct=hotspot_psn(mesh)
-            ).run(flows, estimand.cycles)
-            expected.append(estimand._pick_latency(seed, stats))
-        assert estimand.sample_batch(seeds) == expected
-
     def test_sample_batch_empty(self):
         assert self._estimand().sample_batch([]) == []
 

@@ -2,12 +2,13 @@
 
 ``test_noc_engine.py`` (one-lane runs) and ``test_batch_engine.py``
 (multi-lane batches) both pin :class:`BatchedNocEngine` against the
-legacy :class:`CycleNocSimulator` oracle with these helpers.
+:class:`cycle_oracle.CycleNocSimulator` reference with these helpers;
+``test_flit_golden.py`` reuses the traffic and PSN helpers.
 """
 
 import numpy as np
 
-from repro.noc.cycle import NocSimStats, TrafficFlow
+from repro.noc import NocSimStats, TrafficFlow
 
 #: Every routing policy the engine must reproduce.
 POLICIES = ("xy", "west-first", "odd-even", "icon", "panr")

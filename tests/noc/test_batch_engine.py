@@ -5,30 +5,19 @@ contract to whole sweeps: **every lane** of a batch must be
 flit-for-flit identical to a legacy run with that lane's flows and PSN
 field, regardless of what its sibling lanes carry.  These tests pin
 that across all five routing policies, two mesh sizes and two load
-levels; exercise heterogeneous per-lane rates/PSN; check that
-``set_psn`` on one lane leaves siblings untouched, for context-free
-and PSN-aware policies; and cover the warm-pool route-table adoption
-path and argument validation.
+levels; exercise heterogeneous per-lane rates/PSN and state carried
+across ``run()`` calls; and cover argument validation.
 """
 
 import numpy as np
 import pytest
 
+from cycle_oracle import CycleNocSimulator
 from noc_oracle import POLICIES, assert_stats_equal, band_psn, uniform_flows
 from repro.chip.mesh import MeshGeometry
-from repro.noc.batch import BatchedNocEngine, build_route_table
-from repro.noc.cycle import CycleNocSimulator, TrafficFlow
+from repro.noc import BatchedNocEngine, TrafficFlow
 from repro.noc.routing import XYRouting, make_routing
-from repro.noc.topology import Direction, MeshTopology
-
-
-def lane_grid(mesh, rates, seeds, packet_size=4):
-    """Rate-major x seed lane flows, the routing-sweep packing order."""
-    return [
-        uniform_flows(mesh, rate, seed=seed, packet_size=packet_size)
-        for rate in rates
-        for seed in seeds
-    ]
+from repro.noc.topology import Direction
 
 
 class _AlwaysWest(XYRouting):
@@ -110,123 +99,27 @@ class TestLaneIdentity:
                 legacy = CycleNocSimulator(mesh, make_routing(policy))
                 assert_stats_equal(legacy.run(lane_flows, 700), got)
 
-    def test_adopted_topology_identical(self):
-        # One topology serves every engine over the same mesh,
-        # byte-identical to each engine building its own; the complete
-        # route table agrees with every column built lazily.
-        mesh = MeshGeometry(8, 8)
-        topo = MeshTopology(mesh)
-        flows = lane_grid(mesh, (0.1, 0.3), (2, 4))
-        engine = BatchedNocEngine(mesh, make_routing("xy"), n_lanes=len(flows))
-        lazy = engine.run(flows, 300)
-        adopted = BatchedNocEngine(
-            mesh, make_routing("xy"), n_lanes=len(flows), topology=topo,
-        ).run(flows, 300)
-        for a, b in zip(lazy, adopted):
-            assert_stats_equal(a, b)
-        table = build_route_table(mesh, make_routing("xy"), topology=topo)
-        built = engine._table_built
-        assert built.any()
-        assert np.array_equal(engine._route_table[:, built], table[:, built])
-
     def test_state_persists_across_runs(self):
         # Back-to-back run() calls carry in-flight flits, wormhole state
         # and data rates per lane, exactly like back-to-back oracle
-        # runs; the 100-cycle rate window straddles the 250-cycle calls.
+        # runs; 64 does not divide 250, so the rate window open at the
+        # end of the first call straddles into the second.
         mesh = MeshGeometry(8, 8)
         psn = band_psn(mesh)
         seeds = (11, 12)
         flows = [uniform_flows(mesh, 0.2, seed=s) for s in seeds]
         for policy in ("xy", "panr"):
             batch = BatchedNocEngine(
-                mesh, make_routing(policy), n_lanes=len(seeds),
-                psn_pct=psn, rate_window=100,
+                mesh, make_routing(policy), n_lanes=len(seeds), psn_pct=psn
             )
             oracles = [
-                CycleNocSimulator(
-                    mesh, make_routing(policy), psn_pct=psn, rate_window=100
-                )
+                CycleNocSimulator(mesh, make_routing(policy), psn_pct=psn)
                 for _ in seeds
             ]
             for _ in range(2):
                 got = batch.run(flows, 250)
                 for lane, oracle in enumerate(oracles):
                     assert_stats_equal(oracle.run(flows[lane], 250), got[lane])
-
-
-class TestPsnLaneIsolation:
-    def test_set_psn_on_one_lane_leaves_siblings_identical(self):
-        # Context-free routing never reads PSN, so the real assertion
-        # is structural: a mid-run per-lane set_psn must not perturb
-        # any lane's stats relative to oracle runs.
-        mesh = MeshGeometry(8, 8)
-        seeds = (3, 4, 5)
-        flows = [uniform_flows(mesh, 0.25, seed=s) for s in seeds]
-        batch = BatchedNocEngine(
-            mesh, make_routing("west-first"), n_lanes=len(seeds),
-            psn_pct=band_psn(mesh),
-        )
-        first = batch.run(flows, 200)
-        batch.set_psn(np.full(mesh.tile_count, 40.0), lane=1)
-        second = batch.run(flows, 200)
-        for lane in range(len(seeds)):
-            legacy = CycleNocSimulator(
-                mesh, make_routing("west-first"), psn_pct=band_psn(mesh)
-            )
-            assert_stats_equal(legacy.run(flows[lane], 200), first[lane])
-            assert_stats_equal(legacy.run(flows[lane], 200), second[lane])
-
-    def test_set_psn_lane_on_panr_batch_leaves_siblings_identical(self):
-        # PANR reads PSN: the updated lane must follow an oracle that
-        # saw the same update, and its siblings must follow oracles
-        # that never did.
-        mesh = MeshGeometry(8, 8)
-        psn = band_psn(mesh)
-        moved = np.roll(psn, 2 * mesh.width)  # hot band two rows down
-        seeds = (3, 4, 5)
-        flows = [uniform_flows(mesh, 0.3, seed=s) for s in seeds]
-        batch = BatchedNocEngine(
-            mesh, make_routing("panr"), n_lanes=len(seeds), psn_pct=psn
-        )
-        oracles = [
-            CycleNocSimulator(mesh, make_routing("panr"), psn_pct=psn)
-            for _ in seeds
-        ]
-        first = batch.run(flows, 200)
-        for lane, oracle in enumerate(oracles):
-            assert_stats_equal(oracle.run(flows[lane], 200), first[lane])
-        batch.set_psn(moved, lane=1)
-        oracles[1].set_psn(moved)
-        second = batch.run(flows, 200)
-        for lane, oracle in enumerate(oracles):
-            assert_stats_equal(oracle.run(flows[lane], 200), second[lane])
-        # The update really changed lane 1's routes.
-        unchanged = CycleNocSimulator(
-            mesh, make_routing("panr"), psn_pct=psn
-        )
-        unchanged.run(flows[1], 200)
-        assert not np.array_equal(
-            unchanged.run(flows[1], 200).router_flits_per_cycle,
-            second[1].router_flits_per_cycle,
-        )
-
-    def test_set_psn_shapes(self):
-        mesh = MeshGeometry(4, 4)
-        batch = BatchedNocEngine(mesh, make_routing("xy"), n_lanes=3)
-        n = mesh.tile_count
-        batch.set_psn(np.full(n, 2.0), lane=2)
-        assert np.allclose(batch._psn[2], 2.0)
-        assert np.allclose(batch._psn[0], 0.0)
-        batch.set_psn(np.full((3, n), 5.0))
-        assert np.allclose(batch._psn, 5.0)
-        batch.set_psn(np.full(n, 1.0))
-        assert np.allclose(batch._psn, 1.0)
-        with pytest.raises(ValueError):
-            batch.set_psn(np.zeros(n - 1), lane=0)
-        with pytest.raises(ValueError):
-            batch.set_psn(np.zeros((2, n)))
-        with pytest.raises(ValueError):
-            batch.set_psn(np.zeros(n), lane=3)
 
 
 class TestValidation:
@@ -236,17 +129,7 @@ class TestValidation:
             BatchedNocEngine(mesh, make_routing("xy"), n_lanes=0)
         with pytest.raises(ValueError):
             BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2,
-                             buffer_depth=0)
-        with pytest.raises(ValueError):
-            BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2,
                              psn_pct=np.zeros((3, mesh.tile_count)))
-        with pytest.raises(ValueError):
-            BatchedNocEngine(
-                mesh, make_routing("xy"), n_lanes=2,
-                topology=MeshTopology(MeshGeometry(8, 8)),
-            )
-        with pytest.raises(ValueError, match="context-free"):
-            build_route_table(mesh, make_routing("icon"))
 
     def test_bad_run_arguments_rejected(self):
         mesh = MeshGeometry(4, 4)

@@ -4,9 +4,9 @@ cycle-accurate simulator (DESIGN.md decision #2)."""
 import numpy as np
 import pytest
 
+from cycle_oracle import CycleNocSimulator, TrafficFlow
 from repro.chip.mesh import MeshGeometry
 from repro.noc.analytical import AnalyticalNocModel, Flow
-from repro.noc.cycle import CycleNocSimulator, TrafficFlow
 from repro.noc.routing import XYRouting
 from repro.noc.topology import MeshTopology
 

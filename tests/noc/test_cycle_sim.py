@@ -1,12 +1,10 @@
-"""Tests for the cycle-level NoC simulator."""
+"""Tests for the object-per-flit reference NoC simulator (the oracle)."""
 
 import numpy as np
 import pytest
 
+from cycle_oracle import CycleNocSimulator, Flit, Packet, Router, TrafficFlow
 from repro.chip.mesh import MeshGeometry
-from repro.noc.cycle import CycleNocSimulator, TrafficFlow
-from repro.noc.cycle.packets import Flit, Packet
-from repro.noc.cycle.router import Router
 from repro.noc.routing import PanrRouting, XYRouting, make_routing
 
 

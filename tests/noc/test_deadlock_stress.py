@@ -4,8 +4,8 @@ under sustained random all-to-all load (single virtual channel)."""
 import numpy as np
 import pytest
 
+from cycle_oracle import CycleNocSimulator, TrafficFlow
 from repro.chip.mesh import MeshGeometry
-from repro.noc.cycle import CycleNocSimulator, TrafficFlow
 from repro.noc.routing import make_routing
 
 POLICIES = ["xy", "west-first", "panr", "icon", "odd-even"]

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycle_oracle import CycleNocSimulator, TrafficFlow
 from repro.chip.mesh import MeshGeometry
-from repro.noc.cycle import CycleNocSimulator, TrafficFlow
 from repro.noc.routing import OddEvenRouting, make_routing
 from repro.noc.topology import Direction, MeshTopology
 

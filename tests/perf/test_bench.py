@@ -55,7 +55,6 @@ class TestPinnedWorkloads:
     def test_noc_engine_bench_smoke(self):
         result = bench.bench_noc_engine(quick=True)
         assert set(result) == {
-            "noc_engine_legacy",
             "noc_engine_array",
             "noc_engine_array_adaptive",
             "noc_engine_batch_loop",
@@ -64,13 +63,6 @@ class TestPinnedWorkloads:
         for entry in result.values():
             assert entry["seconds"] > 0
             assert entry["meta"]["mesh"] == "8x8"
-        # A one-lane engine run must actually be faster than the
-        # reference on the saturation workload (the gate for the exact
-        # multiple lives in the committed BENCH baselines).
-        assert (
-            result["noc_engine_array"]["seconds"]
-            < result["noc_engine_legacy"]["seconds"]
-        )
         # bench_noc_engine verifies every xy and panr batch lane against
         # a one-lane run before timing, so reaching here also certifies
         # the lane-identity contract on the quick workload.
