@@ -20,8 +20,10 @@ average, on top of the router pipeline latency.  Utilisation is clamped
 just below 1; a clamped link marks the report as saturated.
 
 The same :class:`~repro.noc.routing.base.RoutingAlgorithm` weights drive
-the cycle-level simulator, so the two models express one policy;
-``tests/noc/test_cross_validation.py`` checks their rank agreement.
+the flit-level engine (:mod:`repro.noc.batch`), so the two models express
+one policy; ``tests/noc/test_cross_validation.py`` checks their rank
+agreement.  Hops where the policy has one permissible direction come
+from its forced-hop table, without a ``weights`` call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
-from repro.noc.topology import Direction, MeshTopology
+from repro.noc.topology import Direction, MeshTopology, PORT_DIRECTIONS
 
 #: Utilisation clamp: loads above this mark the network saturated.
 RHO_MAX = 0.95
@@ -121,6 +123,10 @@ _Hop = Tuple[Tuple[int, Direction], int]
 #: (fault-filtered) and their total.
 _Expansion = Tuple[Dict[Direction, float], float]
 
+#: Weights of a forced hop by port code, ``{D: 1.0}``: one shared dict
+#: per direction, never mutated (the fault filter builds a new one).
+_FORCED_WEIGHTS = tuple({d: 1.0} for d in PORT_DIRECTIONS)
+
 
 class _Propagation(NamedTuple):
     """Result of pushing every flow through the mesh once."""
@@ -157,11 +163,13 @@ class AnalyticalNocModel:
     """
 
     #: Per-model lookup tables built once in __init__ from the topology
-    #: and read-only afterwards (see MeshTopology).
+    #: and read-only afterwards (see MeshTopology); _forced is the
+    #: policy's forced-hop table.
     __shared_readonly__ = (
         "_context_links",
         "_hops_from",
         "_free_contexts",
+        "_forced",
     )
 
     def __init__(
@@ -202,6 +210,9 @@ class AnalyticalNocModel:
         # Context-free policies never read a context: one shared empty
         # one stands in for every router.
         self._free_contexts = [RoutingContext()] * topo.mesh.tile_count
+        # Hops with one permissible direction take {D: 1.0} from here
+        # instead of asking the policy (see RoutingAlgorithm).
+        self._forced = routing.forced_hops(topo)
 
     @property
     def routing(self) -> RoutingAlgorithm:
@@ -385,6 +396,7 @@ class AnalyticalNocModel:
     ) -> _Propagation:
         topo = self._topo
         weights_of = self._routing.weights
+        forced = self._forced
         hops_from = self._hops_from
         faulty = bool(dead_links or dead_routers)
         link_load: Dict[Tuple[int, Direction], float] = {}
@@ -423,7 +435,13 @@ class AnalyticalNocModel:
                     exits = hops_from[node]
                     expansion = expanded.get(node)
                     if expansion is None:
-                        weights = weights_of(topo, node, dst, contexts[node])
+                        code = forced.item(node, dst)
+                        if code >= 0:
+                            weights = _FORCED_WEIGHTS[code]
+                        else:
+                            weights = weights_of(
+                                topo, node, dst, contexts[node]
+                            )
                         if faulty:
                             # Route around dead components: drop
                             # directions over a failed link or into a

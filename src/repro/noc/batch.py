@@ -31,11 +31,15 @@ each cycle phase runs as a handful of vectorised operations:
   pointer) is one ``(tiles, ports)`` int array each;
 * **injection** accumulates fractional flits for all traffic flows of
   all lanes with one vector add per cycle;
-* **route computation**: context-free policies (XY, west-first,
-  odd-even - ``RoutingAlgorithm.context_free``) gather from one lazily
-  built ``(n, n)`` route table shared by every lane; adaptive policies
-  (PANR, ICON) call ``routing.select`` once per head-flit decision with
-  a :class:`RoutingContext` assembled from the flat arrays and cached
+* **route computation** gathers every head-flit decision from one
+  ``(n, n)`` route table shared by every lane.  For context-free
+  policies (XY, west-first, odd-even -
+  ``RoutingAlgorithm.context_free``) ``routing.select`` fills each
+  destination column the first time a run needs it.  For adaptive
+  policies (PANR, ICON) the table is ``routing.forced_hops``: hops
+  where west-first leaves one direction come from it, and only the
+  free decisions call ``routing.select``, with a
+  :class:`RoutingContext` assembled from the flat arrays and cached
   per-tile neighbour PSN / data-rate dicts;
 * **switch traversal** - arbitration and the credit check run over at
   most five request edges per tile, and the winning moves commit with
@@ -57,7 +61,8 @@ What batching buys (measured in ``python -m repro bench``,
 numpy call dispatches plus the injection bookkeeping - is paid *once
 per batch cycle* instead of once per lane cycle, and the route-table
 build is paid once instead of S times.  Adaptive lanes keep one
-``select`` call per decision, which batching cannot remove.
+``select`` call per free decision; forced hops, about three in four
+of them on the routing sweep, are table gathers.
 """
 
 from __future__ import annotations
@@ -69,7 +74,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
+from repro.noc.routing.base import (
+    FREE_HOP,
+    RoutingAlgorithm,
+    RoutingContext,
+)
 from repro.noc.topology import (
     Direction,
     MeshTopology,
@@ -193,8 +202,10 @@ class BatchedNocEngine:
         "_tile_lane",
         "_tile_local",
     )
-    #: _route_table/_table_built columns are filled lazily, one
-    #: destination at a time, by this builder.
+    #: For context-free policies, _route_table/_table_built columns are
+    #: filled lazily, one destination at a time, by this builder; for
+    #: adaptive ones _route_table is the policy's forced-hop table,
+    #: built once in __init__.
     __shared_readonly_init__ = ("_build_route_columns",)
 
     def __init__(
@@ -290,13 +301,16 @@ class BatchedNocEngine:
         self._pkt_size_flits = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
         self._pkt_inject_cycle = np.zeros(_MIN_PACKET_CAPACITY, np.int64)
 
-        # Route table (context-free policies): one (n, n) local table
-        # shared by every lane.
-        self._route_table: Optional[np.ndarray] = None
+        # Route table: one (n, n) local table shared by every lane.
+        # Context-free policies fill its columns lazily with select;
+        # adaptive ones start from the policy's forced-hop table and
+        # call select where it holds FREE_HOP.
         self._table_built: Optional[np.ndarray] = None
         if routing.context_free:
-            self._route_table = np.full((n, n), -1, np.int8)
+            self._route_table = np.full((n, n), FREE_HOP, np.int8)
             self._table_built = np.zeros(n, bool)
+        else:
+            self._route_table = routing.forced_hops(self._topo)
         # Adaptive-policy context caches: per in-mesh tile, its static
         # adjacency (Direction, neighbour tile, output port code), and
         # per flat tile the neighbour PSN / data-rate dicts, built on
@@ -363,7 +377,7 @@ class BatchedNocEngine:
         flow_src = np.array(flow_src_l, np.int64)
         flow_dst = np.array(flow_dst_l, np.int64)
         flow_lane = np.array(flow_lane_l, np.int64)
-        if self._route_table is not None and flow_dst_l:
+        if self._table_built is not None and flow_dst_l:
             # Pre-build the route-table columns this run can need, so
             # the per-cycle fast path is a single gather.
             self._build_route_columns(np.unique(flow_dst))
@@ -529,16 +543,17 @@ class BatchedNocEngine:
                             "body flit without wormhole route"
                         )
                     dsts = self._pkt_dst[head_pkt[t_idx, p_idx]]
-                    if self._route_table is not None:
-                        # One (n, n) table serves every lane: row = the
-                        # tile's in-mesh id, column = destination.
-                        assigned[t_idx, p_idx] = self._route_table[
-                            self._tile_local.take(t_idx), dsts
-                        ]
-                    else:
-                        assigned[t_idx, p_idx] = self._route_adaptive(
-                            t_idx, p_idx, dsts
+                    # One (n, n) table serves every lane: row = the
+                    # tile's in-mesh id, column = destination.
+                    codes = self._route_table[
+                        self._tile_local.take(t_idx), dsts
+                    ]
+                    free = np.nonzero(codes < 0)[0]
+                    if len(free):
+                        codes[free] = self._route_adaptive(
+                            t_idx[free], p_idx[free], dsts[free]
                         )
+                    assigned[t_idx, p_idx] = codes
 
                 # Arbitration without the (tiles, out, in) tensor: an
                 # input port requests exactly one output (its wormhole
@@ -752,12 +767,13 @@ class BatchedNocEngine:
     def _route_adaptive(
         self, t_idx: np.ndarray, p_idx: np.ndarray, dsts: np.ndarray
     ) -> np.ndarray:
-        """One ``routing.select`` per head-flit decision, all lanes.
+        """One ``routing.select`` per free head-flit decision, all lanes.
 
-        ``t_idx`` are flat tiles, ``dsts`` in-mesh destinations.  The
-        context is the oracle's: the deciding input port's occupancy,
-        each output's downstream input-port occupancy, and the lane's
-        neighbour PSN and data rates.
+        ``t_idx`` are flat tiles, ``dsts`` in-mesh destinations (never
+        the tile itself: ejection is a forced hop).  The context is the
+        oracle's: the deciding input port's occupancy, each output's
+        downstream input-port occupancy, and the lane's neighbour PSN
+        and data rates.
         """
         n = self._n_local
         depth = BUFFER_DEPTH
@@ -772,9 +788,6 @@ class BatchedNocEngine:
         out = np.empty(len(t_idx), np.int64)
         decisions = zip(t_idx.tolist(), local, dsts.tolist())
         for k, (tile, cur, dst) in enumerate(decisions):
-            if dst == cur:
-                out[k] = _LOCAL
-                continue
             adj = self._adjacency[cur]
             psn = self._psn_dicts[tile]
             if psn is None:

@@ -1,4 +1,5 @@
-"""Routing algorithm interface shared by the cycle and analytical models.
+"""Routing algorithm interface shared by the flit-level and analytical
+NoC models.
 
 A routing algorithm answers two questions at each router:
 
@@ -8,9 +9,13 @@ A routing algorithm answers two questions at each router:
   directions given the router's local view (buffer occupancy, neighbour
   data rates, neighbour PSN sensor readings).
 
-The cycle-level simulator picks the argmax-weight direction per packet;
-the analytical model splits flows fractionally by the same weights, so
-both models express one policy.
+The flit-level engine (:mod:`repro.noc.batch`) picks the argmax-weight
+direction per packet; the analytical model splits flows fractionally
+by the same weights, so both models express one policy.  Where
+``permissible`` leaves a single direction there is nothing to choose:
+both models route such *forced* hops from
+:meth:`RoutingAlgorithm.forced_hops` and ask the policy only where it
+has a choice.
 """
 
 from __future__ import annotations
@@ -19,7 +24,17 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.noc.topology import Direction, MeshTopology
+import numpy as np
+
+from repro.noc.topology import Direction, MeshTopology, PORT_CODES
+
+#: Tie-break rank of each direction in :meth:`RoutingAlgorithm.select`
+#: (the earlier direction wins a weight tie).
+_TIE_RANK = {d: i for i, d in enumerate(Direction)}
+
+#: Entry of :meth:`RoutingAlgorithm.forced_hops` where the policy
+#: chooses among several directions.
+FREE_HOP = -1
 
 
 @dataclass
@@ -55,19 +70,28 @@ class RoutingContext:
 
 
 class RoutingAlgorithm(abc.ABC):
-    """Base class for minimal mesh routing policies."""
+    """Base class for minimal mesh routing policies.
+
+    Contract for forced hops: wherever :meth:`permissible` names exactly
+    one direction ``D``, :meth:`select` must return ``D`` and
+    :meth:`weights` must return ``{D: 1.0}``, whatever the context.
+    The NoC models route those hops from :meth:`forced_hops` without
+    calling the policy, so a policy that broke the contract would
+    behave differently in them than its own :meth:`select` says.
+    ``tests/noc/test_forced_hops.py`` checks every shipped policy.
+    """
 
     #: Evaluation name (e.g. ``"XY"``), used in experiment tables.
     name: str = "base"
 
     #: Whether :meth:`select` ignores the :class:`RoutingContext`, i.e.
     #: the chosen direction is a pure function of ``(cur, dst)``.  The
-    #: array cycle engine precomputes a per-(tile, destination) route
-    #: table for such policies instead of calling :meth:`select` per
-    #: packet.  Defaults to False (safe); a subclass may only set it
-    #: True when neither :meth:`weights` nor :meth:`select` reads the
-    #: context - and must set it back to False when overriding either
-    #: with a context-dependent version.
+    #: flit-level engine then fills its per-(tile, destination) route
+    #: table with :meth:`select` once instead of calling it per packet.
+    #: Defaults to False (safe); a subclass may only set it True when
+    #: neither :meth:`weights` nor :meth:`select` reads the context -
+    #: and must set it back to False when overriding either with a
+    #: context-dependent version.
     context_free: bool = False
 
     @abc.abstractmethod
@@ -101,10 +125,45 @@ class RoutingAlgorithm(abc.ABC):
         dst: int,
         ctx: RoutingContext,
     ) -> Direction:
-        """Single-direction choice (cycle model): highest weight wins,
-        ties broken by direction order for determinism."""
+        """Single-direction choice (flit-level engine): highest weight
+        wins, ties broken by direction order for determinism."""
         weights = self.weights(topo, cur, dst, ctx)
         if not weights:
             return Direction.LOCAL
-        order = list(Direction)
-        return max(weights, key=lambda d: (weights[d], -order.index(d)))
+        return max(weights, key=lambda d: (weights[d], -_TIE_RANK[d]))
+
+    def forced_hops(self, topo: MeshTopology) -> np.ndarray:
+        """Read-only ``(n, n)`` int8 table of forced port codes.
+
+        Entry ``[cur, dst]`` is the LOCAL port code where ``cur ==
+        dst``, the code of the sole permissible direction where
+        :meth:`permissible` names exactly one, and :data:`FREE_HOP`
+        where the policy has a choice.  Built from :meth:`permissible`
+        alone; the engine and the analytical model each build theirs
+        once, in ``__init__``.
+
+        Raises:
+            RuntimeError: A forced hop leaves the mesh.
+        """
+        mesh = topo.mesh
+        local = PORT_CODES[Direction.LOCAL]
+        on_mesh = topo.neighbor_codes() >= 0
+        rows: List[List[int]] = []
+        for cur in mesh.tiles():
+            row = []
+            for dst in mesh.tiles():
+                if cur == dst:
+                    row.append(local)
+                    continue
+                dirs = self.permissible(topo, cur, dst)
+                if len(dirs) != 1:
+                    row.append(FREE_HOP)
+                    continue
+                code = PORT_CODES[dirs[0]]
+                if not on_mesh[cur, code]:
+                    raise RuntimeError(f"route off mesh edge at tile {cur}")
+                row.append(code)
+            rows.append(row)
+        table = np.array(rows, np.int8)
+        table.setflags(write=False)
+        return table

@@ -61,8 +61,9 @@ MESH_DIRECTIONS = (
     Direction.SOUTH,
 )
 
-#: Canonical router-port order shared by the cycle models and the array
-#: engine; index into this tuple is the integer *port code*.
+#: Canonical router-port order shared by the flit-level engine, the
+#: forced-hop tables and the analytical model; index into this tuple is
+#: the integer *port code*.
 PORT_DIRECTIONS = (
     Direction.LOCAL,
     Direction.EAST,
@@ -166,8 +167,9 @@ class MeshTopology:
         Returns an ``(tile_count, 5)`` int array where column ``c`` holds
         the neighbouring tile in direction ``PORT_DIRECTIONS[c]`` or
         ``-1`` at a mesh edge; the LOCAL column holds the tile itself.
-        The array is built once and cached - the array cycle engine
-        gathers through it every cycle.
+        The array is built once and cached: the flit-level engine
+        derives its downstream lookups from it, and
+        ``RoutingAlgorithm.forced_hops`` checks forced hops against it.
         """
         if self._neighbor_codes is None:
             table = np.full(

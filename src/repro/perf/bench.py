@@ -834,9 +834,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=4,
+        default=min(4, os.cpu_count() or 1),
         metavar="N",
-        help="worker processes for the parallel sweep (default: 4)",
+        help=(
+            "worker processes for the parallel sweeps "
+            "(default: 4, or the host's CPU count if smaller)"
+        ),
     )
     parser.add_argument(
         "--output",

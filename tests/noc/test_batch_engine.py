@@ -21,9 +21,16 @@ from repro.noc.topology import Direction
 
 
 class _AlwaysWest(XYRouting):
-    """Adaptive-flagged policy that routes west even off the mesh."""
+    """Adaptive-flagged policy that routes west even off the mesh.
+
+    Two permissible directions everywhere make every decision free, so
+    each one reaches ``select`` instead of the forced-hop table.
+    """
 
     context_free = False
+
+    def permissible(self, topo, cur, dst):
+        return [] if cur == dst else [Direction.WEST, Direction.EAST]
 
     def select(self, topo, cur, dst, ctx):
         return Direction.WEST

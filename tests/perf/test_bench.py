@@ -131,6 +131,15 @@ class TestCli:
         assert bench.main(["--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cpus,expected", [(None, 1), (1, 1), (2, 2), (4, 4), (16, 4)]
+    )
+    def test_default_workers_fit_the_host(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        parser = bench.build_parser()
+        assert parser.parse_args([]).workers == expected
+        assert parser.parse_args(["--workers", "4"]).workers == 4
+
     def test_main_writes_output_and_gates(self, tmp_path, monkeypatch,
                                           capsys):
         fake = payload(
