@@ -6,10 +6,14 @@ Tiles are indexed row-major: tile id ``y * width + x`` sits at coordinate
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 Coordinate = Tuple[int, int]
+
+#: ``table[a][b]`` is the hop distance between tiles ``a`` and ``b``.
+HopTable = Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,12 @@ class MeshGeometry:
         bx, by = self.coord_of(b)
         return abs(ax - bx) + abs(ay - by)
 
+    def hop_table(self) -> HopTable:
+        """Every pair's :meth:`manhattan` distance, built once per mesh
+        shape: ``hop_table()[a][b] == manhattan(a, b)``.  Indexing does
+        not bounds-check, so callers pass valid tile ids."""
+        return _hop_table(self.width, self.height)
+
     def neighbors(self, tile: int) -> List[int]:
         """Tiles at Manhattan distance 1 (2 to 4 of them)."""
         x, y = self.coord_of(tile)
@@ -82,3 +92,12 @@ class MeshGeometry:
                 f"tile id {tile} outside [0, {self.tile_count}) for "
                 f"{self.width}x{self.height} mesh"
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _hop_table(width: int, height: int) -> HopTable:
+    coords = [(t % width, t // width) for t in range(width * height)]
+    return tuple(
+        tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
+        for ax, ay in coords
+    )

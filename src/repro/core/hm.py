@@ -86,7 +86,7 @@ class HarmonicManager(ResourceManager):
         vdd: float,
     ) -> Optional[Dict[int, int]]:
         """Harmonic placement over individual free tiles."""
-        mesh = state.chip.mesh
+        hops = state.chip.mesh.hop_table()
         domains = state.chip.domains
         free = [
             t
@@ -110,7 +110,7 @@ class HarmonicManager(ResourceManager):
                     tile = max(
                         free,
                         key=lambda f: (
-                            min(mesh.manhattan(f, p) for p in placed_high),
+                            min(hops[f][p] for p in placed_high),
                             -f,
                         ),
                     )
@@ -128,7 +128,7 @@ class HarmonicManager(ResourceManager):
                     tile = min(
                         free,
                         key=lambda f: (
-                            sum(mesh.manhattan(f, p) for p in neighbours),
+                            sum(hops[f][p] for p in neighbours),
                             f,
                         ),
                     )

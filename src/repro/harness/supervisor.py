@@ -12,8 +12,9 @@ resumable unit:
   or extension of the campaign, and a spec change naturally invalidates
   only the cells it touches;
 * **versioned JSON checkpoints** - progress is persisted after every
-  cell through :func:`repro.runtime.checkpoint.save_payload`
-  (schema-versioned, SHA-256-checksummed, atomically replaced), so a
+  cell through :class:`repro.runtime.checkpoint.CellCheckpoint`
+  (schema-versioned, SHA-256-checksummed, atomically replaced, and
+  encoding only the new cell's record per save), so a
   SIGKILL at any instant loses at most the in-flight cell and
   ``run(resume=True)`` re-executes nothing that already finished;
 * **deadline watchdogs** - each cell runs on a daemon worker thread
@@ -70,7 +71,7 @@ from repro.harness.errors import (
     SimTimeout,
     jsonable_context,
 )
-from repro.runtime.checkpoint import load_payload, save_payload
+from repro.runtime.checkpoint import CellCheckpoint
 
 #: Schema name / version of the campaign checkpoint payload.
 CAMPAIGN_SCHEMA = "parm-campaign"
@@ -78,6 +79,11 @@ CAMPAIGN_VERSION = 1
 
 #: Hex digits of the cell content hash kept as the cell key.
 _KEY_HEX_DIGITS = 16
+
+
+def campaign_checkpoint(path: str) -> CellCheckpoint:
+    """The (empty, not yet loaded) campaign cell map stored at ``path``."""
+    return CellCheckpoint(path, CAMPAIGN_SCHEMA, CAMPAIGN_VERSION)
 
 
 @runtime_checkable
@@ -303,6 +309,30 @@ class CellOutcome:
     @property
     def completed(self) -> bool:
         return self.status == COMPLETED
+
+    def record(self) -> Dict[str, Any]:
+        """The outcome's checkpoint record (plain JSON types)."""
+        return {
+            "spec": self.cell.spec(),
+            "status": self.status,
+            "result": self.result,
+            "attempts": [a.to_json() for a in self.attempts],
+        }
+
+    @classmethod
+    def from_record(
+        cls, cell: SupervisedCell, record: Dict[str, Any]
+    ) -> "CellOutcome":
+        """Restore a checkpointed outcome of ``cell``."""
+        return cls(
+            cell=cell,
+            status=str(record["status"]),
+            result=record["result"],
+            attempts=tuple(
+                CellAttempt.from_json(a) for a in record["attempts"]
+            ),
+            from_checkpoint=True,
+        )
 
 
 @dataclass(frozen=True)
@@ -629,9 +659,10 @@ class CampaignSupervisor:
         }
         if not summary["exists"]:
             return summary
-        state = self._load_state()
+        checkpoint = campaign_checkpoint(self._checkpoint_path)
+        checkpoint.load()
         for cell in self._cells:
-            record = state.get(cell.key)
+            record = checkpoint.records.get(cell.key)
             if record is None:
                 continue
             summary[record["status"]] += 1
@@ -659,25 +690,24 @@ class CampaignSupervisor:
         """
         for cell in self._cells:
             cell.validate()
-        state: Dict[str, Dict[str, Any]] = {}
+        checkpoint = campaign_checkpoint(self._checkpoint_path)
         if resume and os.path.exists(self._checkpoint_path):
-            state = self._load_state()
+            checkpoint.load()
         restored: Dict[str, CellOutcome] = {}
         pending: List[SupervisedCell] = []
         for cell in self._cells:
-            record = state.get(cell.key)
+            record = checkpoint.records.get(cell.key)
             if record is not None and not (
                 retry_failed and record.get("status") == FAILED
             ):
-                restored[cell.key] = self._restore(cell, record)
+                restored[cell.key] = CellOutcome.from_record(cell, record)
             else:
                 pending.append(cell)
         executed: Dict[str, CellOutcome] = {}
 
         def commit(outcome: CellOutcome) -> None:
             executed[outcome.cell.key] = outcome
-            state[outcome.cell.key] = self._record(outcome)
-            self._save_state(state)
+            checkpoint.commit(outcome.cell.key, outcome.record())
 
         if self._workers > 1 and len(pending) > 1:
             # repro.perf builds on this module, so the pool is loaded at
@@ -716,53 +746,3 @@ class CampaignSupervisor:
 
     def _run_cell(self, cell: SupervisedCell) -> CellOutcome:
         return self._executor.run_cell(cell)
-
-    # ------------------------------------------------------------------
-    # Checkpoint state
-    # ------------------------------------------------------------------
-
-    def _record(self, outcome: CellOutcome) -> Dict[str, Any]:
-        return {
-            "spec": outcome.cell.spec(),
-            "status": outcome.status,
-            "result": outcome.result,
-            "attempts": [a.to_json() for a in outcome.attempts],
-        }
-
-    def _restore(
-        self, cell: SupervisedCell, record: Dict[str, Any]
-    ) -> CellOutcome:
-        return CellOutcome(
-            cell=cell,
-            status=str(record["status"]),
-            result=record["result"],
-            attempts=tuple(
-                CellAttempt.from_json(a) for a in record["attempts"]
-            ),
-            from_checkpoint=True,
-        )
-
-    def _save_state(self, state: Dict[str, Dict[str, Any]]) -> None:
-        save_payload(
-            self._checkpoint_path,
-            {"cells": state},
-            schema=CAMPAIGN_SCHEMA,
-            version=CAMPAIGN_VERSION,
-        )
-
-    def _load_state(self) -> Dict[str, Dict[str, Any]]:
-        from repro.harness.errors import CheckpointCorrupt
-
-        payload = load_payload(
-            self._checkpoint_path,
-            schema=CAMPAIGN_SCHEMA,
-            version=CAMPAIGN_VERSION,
-        )
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("cells"), dict
-        ):
-            raise CheckpointCorrupt(
-                "checkpoint rejected: campaign payload has no cell map",
-                path=self._checkpoint_path,
-            )
-        return dict(payload["cells"])

@@ -28,6 +28,7 @@ from its forced-hop table, without a ``weights`` call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -55,8 +56,8 @@ class Flow:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
+        if not math.isfinite(self.rate) or self.rate < 0:
+            raise ValueError("rate must be finite and non-negative")
 
 
 @dataclass

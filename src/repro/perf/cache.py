@@ -37,7 +37,11 @@ from repro.harness.errors import CheckpointCorrupt
 from repro.pdn.circuit import SOLVER_VERSION
 from repro.pdn.fast import KernelLadder, PsnKernel
 from repro.pdn.waveforms import ActivityBin
-from repro.runtime.checkpoint import load_payload, save_payload
+from repro.runtime.checkpoint import (
+    dump_payload,
+    load_payload,
+    save_payload,
+)
 
 #: Schema name / version of one cached calibration entry.
 CACHE_SCHEMA = "parm-calibration-cache"
@@ -197,18 +201,17 @@ def cached_fit_kernels(
         tech=tech, kappa2_grid=kappa2_grid, **sample_kwargs
     )
     os.makedirs(cache_dir, exist_ok=True)
+    payload = {
+        "key": key,
+        "solver_version": SOLVER_VERSION,
+        "tech": tech.name,
+        "peak_kernels": _ladder_to_json(result.peak_kernels),
+        "avg_kernels": _ladder_to_json(result.avg_kernels),
+        "peak_rms_error_pct": float(result.peak_rms_error_pct),
+        "avg_rms_error_pct": float(result.avg_rms_error_pct),
+    }
     save_payload(
         path,
-        {
-            "key": key,
-            "solver_version": SOLVER_VERSION,
-            "tech": tech.name,
-            "peak_kernels": _ladder_to_json(result.peak_kernels),
-            "avg_kernels": _ladder_to_json(result.avg_kernels),
-            "peak_rms_error_pct": float(result.peak_rms_error_pct),
-            "avg_rms_error_pct": float(result.avg_rms_error_pct),
-        },
-        schema=CACHE_SCHEMA,
-        version=CACHE_VERSION,
+        dump_payload(payload, schema=CACHE_SCHEMA, version=CACHE_VERSION),
     )
     return result

@@ -21,6 +21,12 @@ Two related concerns live here:
   :class:`~repro.harness.errors.CheckpointCorrupt` instead of returning
   garbage.  Writes are atomic (temp file + ``os.replace``) so a SIGKILL
   mid-write never leaves a half-written checkpoint behind.
+
+* :class:`CellCheckpoint` - the in-memory ``{key: record}`` cell map
+  of a campaign checkpoint.  Each commit encodes only the new record
+  and splices the cached per-record fragments into exactly the text
+  :func:`dump_payload` would produce for the whole map, so a campaign
+  of N cells encodes N records instead of N^2/2.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.harness.errors import CheckpointCorrupt
 
@@ -106,13 +113,12 @@ def dump_payload(payload: Any, schema: str, version: int) -> str:
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
-def save_payload(path: str, payload: Any, schema: str, version: int) -> None:
-    """Atomically write a versioned, checksummed payload to ``path``.
+def save_payload(path: str, text: str) -> None:
+    """Atomically write an encoded envelope (see :func:`dump_payload`).
 
-    The envelope is written to ``<path>.tmp`` first and moved into place
+    The text is written to ``<path>.tmp``, fsynced, and moved into place
     with ``os.replace``, so readers only ever see a complete file.
     """
-    text = dump_payload(payload, schema, version)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -184,3 +190,122 @@ def load_payload(path: str, schema: str, version: int) -> Any:
             computed=digest,
         )
     return payload
+
+
+# ----------------------------------------------------------------------
+# Campaign cell maps
+# ----------------------------------------------------------------------
+
+#: Depth of a cell record inside the envelope (envelope, payload,
+#: cell map) and so the indentation of its lines in the file.
+_CELL_PAD = "\n" + " " * 6
+
+
+def _encode_record(record: Any) -> Tuple[str, str]:
+    """``(compact, indented)`` encodings of one cell record.
+
+    The compact one is the record's slice of :func:`payload_digest`'s
+    canonical text, and raises ``ValueError`` on NaN or infinity.  The
+    indented one is the record's slice of :func:`dump_payload`'s text:
+    the stdlib encoder indents a nested value by its depth on every
+    line, so padding each newline of the top-level encoding by the
+    record's depth gives the same text.
+    """
+    compact = json.dumps(
+        record, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    indented = json.dumps(record, sort_keys=True, indent=2)
+    return compact, indented.replace("\n", _CELL_PAD)
+
+
+class CellCheckpoint:
+    """The ``{"cells": {key: record}}`` payload of one checkpoint file.
+
+    The map lives in memory; :meth:`load` reads the file once, and
+    :meth:`commit` encodes only the committed record.  The file it
+    writes is byte-identical to ``dump_payload({"cells": cells})``: the
+    cached per-record fragments are spliced in key order between the
+    fixed envelope lines, and the digest is taken over the spliced
+    compact text.
+
+    Args:
+        path: Checkpoint file.
+        schema: Envelope schema name.
+        version: Envelope schema version.
+    """
+
+    def __init__(self, path: str, schema: str, version: int) -> None:
+        self._path = path
+        self._schema = schema
+        self._version = int(version)
+        self._records: Dict[str, Any] = {}
+        #: Cached ``(compact, indented)`` fragments; loaded records are
+        #: encoded on their first splice.
+        self._fragments: Dict[str, Tuple[str, str]] = {}
+
+    @property
+    def path(self) -> str:
+        return self._path
+
+    @property
+    def records(self) -> Mapping[str, Any]:
+        """Read-only view of the ``{key: record}`` map."""
+        return MappingProxyType(self._records)
+
+    def load(self) -> None:
+        """Replace the map with the file's (validated) cell map.
+
+        Raises:
+            CheckpointCorrupt: when the file fails
+                :func:`load_payload` or its payload has no cell map.
+        """
+        payload = load_payload(self._path, self._schema, self._version)
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("cells"), dict
+        ):
+            raise CheckpointCorrupt(
+                "checkpoint rejected: campaign payload has no cell map",
+                path=self._path,
+            )
+        self._records = dict(payload["cells"])
+        self._fragments = {}
+
+    def commit(self, key: str, record: Any) -> None:
+        """Record ``record`` under ``key`` and rewrite the file.
+
+        Raises:
+            ValueError: when the record holds NaN or infinity; the map
+                and the file are left as they were.
+        """
+        self._fragments[key] = _encode_record(record)
+        self._records[key] = record
+        save_payload(self._path, self.text())
+
+    def text(self) -> str:
+        """The envelope text of the current map, as :func:`dump_payload`
+        would encode ``{"cells": map}``."""
+        compact = []
+        indented = []
+        for key in sorted(self._records):
+            fragments = self._fragments.get(key)
+            if fragments is None:
+                fragments = _encode_record(self._records[key])
+                self._fragments[key] = fragments
+            name = json.dumps(key)
+            compact.append(f"{name}:{fragments[0]}")
+            indented.append(f"{_CELL_PAD}{name}: {fragments[1]}")
+        canonical = '{"cells":{' + ",".join(compact) + "}}"
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        cells = (
+            "{" + ",".join(indented) + "\n    }" if indented else "{}"
+        )
+        return (
+            "{\n"
+            f'  "digest": "{digest}",\n'
+            '  "payload": {\n'
+            f'    "cells": {cells}\n'
+            "  },\n"
+            f"  \"schema\": {json.dumps(self._schema)},\n"
+            f'  "version": {self._version}\n'
+            "}\n"
+        )

@@ -15,9 +15,11 @@ The package grows :mod:`repro.runtime` from a fixed-sequence replay
 * :mod:`repro.runtime.service.engine` - the event loop serving one
   epoch from an explicit, JSON-serialisable :class:`ServiceState`;
 * :mod:`repro.runtime.service.campaign` - epoch-chunked execution on
-  :class:`~repro.harness.supervisor.CampaignSupervisor` so SIGKILL +
-  ``--resume`` is byte-identical, surfaced as ``python -m repro
-  service`` (:mod:`repro.runtime.service.cli`).
+  one :class:`~repro.harness.supervisor.CellExecutor` and one in-memory
+  :class:`~repro.runtime.checkpoint.CellCheckpoint` (each epoch's
+  commit encodes only that epoch) so SIGKILL + ``--resume`` is
+  byte-identical, surfaced as ``python -m repro service``
+  (:mod:`repro.runtime.service.cli`).
 
 See docs/robustness.md ("Service mode") for the model and its
 determinism contract.

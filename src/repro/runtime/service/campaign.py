@@ -4,17 +4,21 @@ A service run is an open-ended simulation; checkpointing it as one
 giant cell would lose everything to a SIGKILL near the end.  Instead
 the run is chunked into epochs: each :class:`ServiceEpochCell` is a
 *pure function* ``(config, entry state) -> exit state`` whose identity
-content-hashes both inputs, executed under
-:class:`~repro.harness.supervisor.CampaignSupervisor` against one
-shared checkpoint file.  Because epoch N's cell key embeds epoch N-1's
-exit state, a resumed campaign restores the exact chain of states and
-emits traffic JSON byte-identical to an uninterrupted run - the
-property the ``service-smoke`` CI job kills a run mid-flight to assert.
+content-hashes both inputs, executed by one
+:class:`~repro.harness.supervisor.CellExecutor` (retries, watchdog,
+error taxonomy) and committed to one shared checkpoint file.  Because
+epoch N's cell key embeds epoch N-1's exit state, a resumed campaign
+restores the exact chain of states and emits traffic JSON
+byte-identical to an uninterrupted run - the property the
+``service-smoke`` CI job kills a run mid-flight to assert.
 
-The supervisor keeps every record it loads and re-saves all of them on
-each commit, so the one-cell-per-epoch pattern accumulates all epochs
-in a single file (the same pattern the sequential verifier uses for
-its replica batches).
+All epochs share one :class:`~repro.runtime.checkpoint.CellCheckpoint`
+in memory: the file is read only on ``run(resume=True)``, and each
+epoch's commit encodes only that epoch's record and splices it into
+the cached encodings of the earlier ones.  The file after every epoch
+is byte-identical to a
+:class:`~repro.harness.supervisor.CampaignSupervisor` checkpoint of the
+same cells (schema ``parm-campaign``).
 """
 
 from __future__ import annotations
@@ -26,8 +30,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.harness.errors import ConfigError, ReproError
-from repro.harness.supervisor import CampaignSupervisor, SupervisorPolicy
-from repro.runtime.checkpoint import load_payload
+from repro.harness.supervisor import (
+    COMPLETED,
+    CellExecutor,
+    CellOutcome,
+    SupervisorPolicy,
+    campaign_checkpoint,
+)
 from repro.runtime.service.config import ServiceConfig
 from repro.runtime.service.engine import ServiceEngine, ServiceState
 
@@ -177,12 +186,9 @@ class ServiceCampaign:
         }
         if not summary["exists"]:
             return summary
-        payload = load_payload(
-            self._checkpoint_path,
-            schema="parm-campaign",
-            version=1,
-        )
-        for record in payload.get("cells", {}).values():
+        checkpoint = campaign_checkpoint(self._checkpoint_path)
+        checkpoint.load()
+        for record in checkpoint.records.values():
             status = record.get("status")
             if status in summary:
                 summary[status] += 1
@@ -191,10 +197,21 @@ class ServiceCampaign:
     def run(self, resume: bool = False) -> Dict[str, Any]:
         """Execute (or resume) every epoch; return the traffic payload.
 
+        With ``resume=True`` an existing checkpoint is loaded once: an
+        epoch recorded as completed is restored, one recorded as failed
+        is re-run with a fresh retry budget.  Without it the checkpoint
+        starts empty and is overwritten by the first commit.
+
         Raises:
             ReproError: when an epoch exhausts its retry budget (with
                 the supervisor's full attempt provenance in context).
         """
+        executor = CellExecutor(
+            self._policy, run_service_epoch, self._sleep_fn
+        )
+        checkpoint = campaign_checkpoint(self._checkpoint_path)
+        if resume and os.path.exists(self._checkpoint_path):
+            checkpoint.load()
         state = ServiceState(self._config)
         for epoch in range(self._config.epochs):
             cell = ServiceEpochCell(
@@ -202,18 +219,13 @@ class ServiceCampaign:
                 epoch=epoch,
                 entry_state_json=_canonical(state.to_json()),
             )
-            supervisor = CampaignSupervisor(
-                [cell],
-                self._checkpoint_path,
-                policy=self._policy,
-                cell_runner=run_service_epoch,
-                sleep_fn=self._sleep_fn,
-            )
-            # Epochs after the first must re-read the shared checkpoint
-            # (it now holds their predecessors), hence resume=True.
-            outcome = supervisor.run(
-                resume=resume or epoch > 0, retry_failed=True
-            ).outcomes[0]
+            cell.validate()
+            record = checkpoint.records.get(cell.key)
+            if record is not None and record.get("status") == COMPLETED:
+                outcome = CellOutcome.from_record(cell, record)
+            else:
+                outcome = executor.run_cell(cell)
+                checkpoint.commit(cell.key, outcome.record())
             if not outcome.completed:
                 attempts = [a.to_json() for a in outcome.attempts]
                 raise ReproError(

@@ -47,6 +47,18 @@ class TestBasics:
         assert mesh.manhattan(0, 59) == 14
         assert mesh.manhattan(11, 0) == 2  # (1,1) -> (0,0)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (10, 6)])
+    def test_hop_table_matches_manhattan(self, shape):
+        geometry = MeshGeometry(*shape)
+        table = geometry.hop_table()
+        assert len(table) == geometry.tile_count
+        for a in geometry.tiles():
+            assert len(table[a]) == geometry.tile_count
+            for b in geometry.tiles():
+                assert type(table[a][b]) is int
+                assert table[a][b] == geometry.manhattan(a, b)
+        assert MeshGeometry(*shape).hop_table() is table
+
     def test_neighbors_corner_edge_interior(self, mesh):
         assert sorted(mesh.neighbors(0)) == [1, 10]
         assert sorted(mesh.neighbors(5)) == [4, 6, 15]

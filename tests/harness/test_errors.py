@@ -72,7 +72,7 @@ class TestJsonableContext:
         # The solver guards put NaN/inf into context by construction
         # (non-finite currents, vdd, condition estimates); checkpoints
         # are digested with allow_nan=False, so raw NaN/inf here would
-        # crash _save_state and lose the salvage table.
+        # crash the checkpoint commit and lose the salvage table.
         ctx = jsonable_context(
             {
                 "core_current_a": float("nan"),

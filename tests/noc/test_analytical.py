@@ -29,6 +29,14 @@ class TestFlowValidation:
         with pytest.raises(ValueError):
             Flow(0, 1, -0.5)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        # Before the check, a 4x4 XY evaluate of these flows returned
+        # NaN router loads and latencies with saturated=False.
+        xy = model(MeshTopology(MeshGeometry(4, 4)))
+        with pytest.raises(ValueError, match="finite"):
+            xy.evaluate([Flow(0, 5, rate), Flow(1, 2, 0.1)])
+
     def test_constructor_validation(self, topo):
         with pytest.raises(ValueError):
             AnalyticalNocModel(topo, XYRouting(), iterations=0)

@@ -19,6 +19,7 @@ from repro.harness.supervisor import (
     SupervisorPolicy,
 )
 from repro.perf.parallel import map_tasks, run_cells
+from repro.runtime.checkpoint import CellCheckpoint
 
 
 def toy_runner(c):
@@ -267,7 +268,9 @@ class TestParallelSupervisor:
         assert parallel.table_json() == serial.table_json()
         assert read_bytes(parallel_cp) == read_bytes(serial_cp)
 
-    def test_kill_midrun_then_parallel_resume_matches_serial(self, tmp_path):
+    def test_kill_midrun_then_parallel_resume_matches_serial(
+        self, tmp_path, monkeypatch
+    ):
         serial_cp = str(tmp_path / "serial.json")
         CampaignSupervisor(
             cells(), serial_cp, cell_runner=toy_runner, workers=1
@@ -277,18 +280,21 @@ class TestParallelSupervisor:
         victim = CampaignSupervisor(
             cells(), crashed_cp, cell_runner=toy_runner, workers=4
         )
-        original_save = victim._save_state
+        original_commit = CellCheckpoint.commit
         saves = []
 
-        def crashing_save(state):
+        def crashing_commit(checkpoint, key, record):
             if len(saves) >= 2:
                 raise RuntimeError("injected mid-campaign crash")
-            saves.append(len(state))
-            original_save(state)
+            saves.append(key)
+            original_commit(checkpoint, key, record)
 
-        victim._save_state = crashing_save
+        # Commits run in the parent as outcomes arrive, so patching the
+        # class reaches the supervisor's checkpoint under workers=4.
+        monkeypatch.setattr(CellCheckpoint, "commit", crashing_commit)
         with pytest.raises(RuntimeError, match="injected"):
             victim.run()
+        monkeypatch.undo()
 
         # The checkpoint survived the crash with a strict subset of
         # cells; a parallel resume finishes the rest and the final

@@ -17,6 +17,10 @@ SCHEMA = "test-schema"
 VERSION = 3
 
 
+def save(path, payload, schema=SCHEMA, version=VERSION):
+    save_payload(path, dump_payload(payload, schema, version))
+
+
 @pytest.fixture
 def path(tmp_path):
     return str(tmp_path / "cp.json")
@@ -35,15 +39,15 @@ class TestDigest:
 class TestRoundTrip:
     def test_save_load(self, path):
         payload = {"cells": {"abc": {"status": "completed"}}, "n": 4}
-        save_payload(path, payload, schema=SCHEMA, version=VERSION)
+        save(path, payload)
         assert load_payload(path, schema=SCHEMA, version=VERSION) == payload
 
     def test_no_tmp_file_left_behind(self, path):
-        save_payload(path, {"x": 1}, schema=SCHEMA, version=VERSION)
+        save(path, {"x": 1})
         assert not os.path.exists(path + ".tmp")
 
     def test_envelope_carries_all_keys(self, path):
-        save_payload(path, {"x": 1}, schema=SCHEMA, version=VERSION)
+        save(path, {"x": 1})
         with open(path) as handle:
             envelope = json.load(handle)
         assert set(envelope) == {"digest", "payload", "schema", "version"}
@@ -80,7 +84,7 @@ class TestCorruption:
     def test_truncated_envelope(self, path, keep_fraction):
         # A torn write: the file ends mid-envelope.  The error must name
         # the truncation and carry the decode offset for forensics.
-        save_payload(path, {"x": 1}, schema=SCHEMA, version=VERSION)
+        save(path, {"x": 1})
         with open(path) as handle:
             text = handle.read()
         kept = text[: max(1, int(len(text) * keep_fraction))]
@@ -98,7 +102,7 @@ class TestCorruption:
     def test_mid_file_garbage_is_not_truncation(self, path):
         # Corruption in the middle of the file is reported as invalid
         # JSON, not as a torn write.
-        save_payload(path, {"x": 1}, schema=SCHEMA, version=VERSION)
+        save(path, {"x": 1})
         with open(path) as handle:
             text = handle.read()
         with open(path, "w") as handle:
@@ -120,15 +124,15 @@ class TestCorruption:
         self._expect_corrupt(path, "keys missing")
 
     def test_schema_mismatch(self, path):
-        save_payload(path, {"x": 1}, schema="other-schema", version=VERSION)
+        save(path, {"x": 1}, schema="other-schema")
         self._expect_corrupt(path, "schema mismatch")
 
     def test_version_mismatch(self, path):
-        save_payload(path, {"x": 1}, schema=SCHEMA, version=VERSION + 1)
+        save(path, {"x": 1}, version=VERSION + 1)
         self._expect_corrupt(path, "version mismatch")
 
     def test_tampered_payload_fails_digest(self, path):
-        save_payload(path, {"x": 1}, schema=SCHEMA, version=VERSION)
+        save(path, {"x": 1})
         with open(path) as handle:
             envelope = json.load(handle)
         envelope["payload"]["x"] = 999
