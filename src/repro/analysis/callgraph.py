@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.astwalk import attr_chain
 from repro.analysis.engine import ModuleInfo
 
 #: Schema name / version of the cached call-graph artifact.  Bump the
@@ -445,17 +446,6 @@ class _Resolver:
         return None
 
 
-def _attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
 class _FunctionVisitor:
     """Resolves the calls of one function body (not nested defs)."""
 
@@ -538,7 +528,7 @@ class _FunctionVisitor:
         """Resolve a call's func expression to a symbol qname."""
         if isinstance(func, ast.Name):
             return self._resolve_name(func.id)
-        chain = _attr_chain(func)
+        chain = attr_chain(func)
         if chain is None:
             # super().m(...): dispatch into the first project base.
             if (
@@ -597,7 +587,7 @@ class _FunctionVisitor:
             if func.id not in _BUILTINS:
                 self.unresolved.add(func.id)
             return
-        chain = _attr_chain(func)
+        chain = attr_chain(func)
         if chain is None:
             if isinstance(func, ast.Attribute):
                 self.unresolved.add(f".{func.attr}")
@@ -615,7 +605,7 @@ class _FunctionVisitor:
         if isinstance(func, ast.Name):
             name = func.id
         else:
-            chain = _attr_chain(func)
+            chain = attr_chain(func)
             if chain is not None:
                 name = chain[-1]
             elif isinstance(func, ast.Attribute):
@@ -715,7 +705,7 @@ def _collect_attr_types(
                     stmt.value, ast.Call
                 ):
                     continue
-                chain = _attr_chain(stmt.targets[0])
+                chain = attr_chain(stmt.targets[0])
                 if chain is None or len(chain) != 2 or chain[0] != "self":
                     continue
                 typed = helper._class_of_call(stmt.value)

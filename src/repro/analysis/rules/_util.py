@@ -3,24 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
-
-def attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """Flatten ``a.b.c`` into ``("a", "b", "c")``.
-
-    Returns None when the expression root is not a plain name (e.g.
-    ``get_rng().random`` or subscripts), which no name-based rule can
-    resolve statically.
-    """
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
+from repro.analysis.astwalk import attr_chain  # noqa: F401 - rules import it here
 
 
 def module_aliases(tree: ast.Module, target: str) -> Set[str]:

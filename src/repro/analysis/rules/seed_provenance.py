@@ -42,6 +42,7 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.astwalk import own_nodes
 from repro.analysis.engine import ModuleInfo, ProjectContext, ProjectRule
 from repro.analysis.findings import Finding
 from repro.analysis.rules._util import attr_chain, from_imports, module_aliases
@@ -385,7 +386,7 @@ class SeedProvenanceRule(ProjectRule):
         # the two-pass form keeps the walker simple.)
         tracer.walk()
         out: List[Finding] = []
-        for node in _own_nodes(fn):
+        for node in own_nodes(fn):
             if not isinstance(node, ast.Call):
                 continue
             ctor = self._ctor_name(node.func, rng_modules, ctor_locals)
@@ -427,21 +428,3 @@ class SeedProvenanceRule(ProjectRule):
         if chain[0] in rng_modules and chain[-1] in SEEDED_CTORS:
             return chain[-1]
         return None
-
-
-def _own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
-    if isinstance(fn, ast.Module):
-        children = [
-            n
-            for n in fn.body
-            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        ]
-    else:
-        children = list(ast.iter_child_nodes(fn))
-    stack: List[ast.AST] = children
-    while stack:
-        node = stack.pop(0)
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))

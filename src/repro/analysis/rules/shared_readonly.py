@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.astwalk import own_nodes
 from repro.analysis.engine import ModuleInfo, ProjectContext, ProjectRule
 from repro.analysis.findings import Finding
 from repro.analysis.rules._util import attr_chain
@@ -101,26 +102,6 @@ def collect_declarations(
     return writers
 
 
-def _own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
-    if isinstance(fn, ast.Module):
-        children: List[ast.AST] = [
-            n
-            for n in fn.body
-            if not isinstance(
-                n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-    else:
-        children = list(ast.iter_child_nodes(fn))
-    stack = children
-    while stack:
-        node = stack.pop(0)
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 class SharedReadonlyRule(ProjectRule):
     id = "shared-readonly"
     description = (
@@ -173,7 +154,7 @@ class SharedReadonlyRule(ProjectRule):
             )
 
         out: List[Finding] = []
-        for node in _own_nodes(fn):
+        for node in own_nodes(fn):
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)
             elif isinstance(node, ast.AugAssign):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.astwalk import own_nodes
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.engine import ModuleInfo, ProjectContext, ProjectRule
 from repro.analysis.findings import Finding
@@ -142,17 +143,6 @@ class _BodyScan:
                     aliases.add(alias.asname or alias.name.split(".")[0])
         return aliases
 
-    def _own_nodes(self) -> Iterable[ast.AST]:
-        stack: List[ast.AST] = list(ast.iter_child_nodes(self.fn))
-        while stack:
-            node = stack.pop(0)
-            yield node
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
     def _collect_locals(self) -> Set[str]:
         names: Set[str] = set()
         args = getattr(self.fn, "args", None)
@@ -165,7 +155,7 @@ class _BodyScan:
                 + ([args.kwarg] if args.kwarg else [])
             ):
                 names.add(arg.arg)
-        for node in self._own_nodes():
+        for node in own_nodes(self.fn):
             if isinstance(node, ast.Global):
                 self._globals.update(node.names)
             elif isinstance(node, ast.Assign):
@@ -253,7 +243,7 @@ class _BodyScan:
             )
 
     def scan(self) -> List[Tuple[int, str]]:
-        for node in self._own_nodes():
+        for node in own_nodes(self.fn):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     self._store_hazard(target, "assignment")

@@ -33,7 +33,7 @@ def profile_to_dict(profile: ApplicationProfile, tech_name: str) -> dict:
     Args:
         profile: The profile to serialise.
         tech_name: Name of the technology node the profile was built
-            for (stored so router-rate queries work after loading).
+            for (stored with the profile and checked again on load).
     """
     technology(tech_name)  # validate early
     spec = profile.spec
@@ -129,9 +129,8 @@ def profile_from_dict(data: dict) -> ApplicationProfile:
             avg_router_flits_per_cycle=p["avg_router_flits_per_cycle"],
         )
         points[(round(point.vdd, 9), point.dop)] = point
-    profile = ApplicationProfile(spec, graphs, points)
-    profile._tech_cache = technology(data["tech"])
-    return profile
+    technology(data["tech"])  # reject an unknown node, as on save
+    return ApplicationProfile(spec, graphs, points)
 
 
 def save_profile(

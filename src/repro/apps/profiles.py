@@ -112,6 +112,7 @@ class ApplicationProfile:
         self._spec = spec
         self._graphs = graphs
         self._points = points
+        self._best_wcet_s = min(p.wcet_s for p in points.values())
 
     @property
     def spec(self) -> BenchmarkSpec:
@@ -159,31 +160,15 @@ class ApplicationProfile:
     def power_w(self, vdd: float, dop: int) -> float:
         return self.point(vdd, dop).power_w
 
-    def task_router_flits_per_cycle(
-        self, vdd: float, dop: int, task_id: int
-    ) -> float:
-        """Router injection+ejection rate at a task's tile (flits/cycle)."""
-        point = self.point(vdd, dop)
-        graph = self.graph(dop)
-        bytes_at_task = sum(
-            v
-            for s, d, v in graph.edges()
-            if s == task_id or d == task_id
-        )
-        cycles = point.wcet_s * _frequency_of(vdd, self._tech_cache)
-        if cycles <= 0:
-            return 0.0
-        return (bytes_at_task / FLIT_PAYLOAD_BYTES) / cycles
+    @property
+    def best_wcet_s(self) -> float:
+        """Fastest WCET over every profiled operating point.
 
-    # Set by build_profile; kept on the instance so router-rate queries
-    # do not need the chip passed around.
-    _tech_cache: TechnologyNode = None
-
-
-def _frequency_of(vdd: float, tech: TechnologyNode) -> float:
-    from repro.chip.dvfs import alpha_power_frequency
-
-    return alpha_power_frequency(vdd, tech)
+        An application whose slack is no longer than this cannot meet
+        its deadline at any (Vdd, DoP).  WCET falls as Vdd rises, so
+        this is the fastest DoP at the highest profiled Vdd.
+        """
+        return self._best_wcet_s
 
 
 def _layer_sizes(dop: int) -> Sequence[int]:
@@ -294,6 +279,4 @@ def build_profile(
                 power_w=total_power,
                 avg_router_flits_per_cycle=total_flits / dop,
             )
-    profile = ApplicationProfile(spec, graphs, points)
-    profile._tech_cache = tech
-    return profile
+    return ApplicationProfile(spec, graphs, points)

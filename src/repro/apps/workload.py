@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -123,17 +123,13 @@ def generate_workload(
         else:
             arrival = next_arrival
             next_arrival += float(rng.exponential(arrival_interval_s))
-        best_wcet = min(
-            profile.wcet_s(max(profile.supported_vdds), dop)
-            for dop in profile.supported_dops
-        )
         slack = float(rng.uniform(lo, hi))
         arrivals.append(
             ApplicationArrival(
                 app_id=i,
                 profile=profile,
                 arrival_s=arrival,
-                deadline_s=arrival + slack * best_wcet,
+                deadline_s=arrival + slack * profile.best_wcet_s,
             )
         )
     return arrivals

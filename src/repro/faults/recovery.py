@@ -13,6 +13,7 @@ livelocking the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,6 +56,24 @@ class RecoveryPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if self.per_task_restart_cost_s < 0:
             raise ValueError("per_task_restart_cost_s must be non-negative")
+
+    @property
+    def max_attempts(self) -> int:
+        """Tries per recovery episode: the first plus the retries."""
+        return 1 + self.max_remap_retries
+
+    def retry_delay_s(self, failed_tries: int) -> Optional[float]:
+        """Wait before the next try after ``failed_tries`` failed ones.
+
+        Returns ``None`` once the episode's :attr:`max_attempts` tries
+        have all failed: the caller gives up.  After ``k >= 1`` failed
+        tries the wait is :meth:`backoff_s` ``(k - 1)``; with none yet
+        (a first try deferred rather than made at once) it is the
+        initial backoff.
+        """
+        if failed_tries >= self.max_attempts:
+            return None
+        return self.backoff_s(max(0, failed_tries - 1))
 
     def backoff_s(self, retry_index: int) -> float:
         """Delay before retry ``retry_index`` (0-based)."""

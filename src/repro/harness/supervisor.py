@@ -244,7 +244,7 @@ class SupervisorPolicy:
     @property
     def max_attempts(self) -> int:
         """Total attempts per cell (the first try plus retries)."""
-        return 1 + self.recovery.max_remap_retries
+        return self.recovery.max_attempts
 
     def backoff_schedule_s(self, cell_key: str) -> List[float]:
         """Deterministic jittered delay before each retry of one cell."""

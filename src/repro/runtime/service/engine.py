@@ -7,8 +7,23 @@ plane of :mod:`repro.runtime.service.config`: admission control, load
 shedding under backlog pressure and PSN emergencies, preemption of
 best-effort work, and bounded-backoff re-admission.
 
-Model notes (where the service loop differs from
-:class:`~repro.runtime.simulator.RuntimeSimulator`):
+Shared with :class:`~repro.runtime.simulator.RuntimeSimulator`, each
+from one owner:
+
+* deadline feasibility,
+  :attr:`~repro.apps.profiles.ApplicationProfile.best_wcet_s`;
+* the PSN evaluation on every occupancy change,
+  :meth:`~repro.runtime.simulator.SimulatorContext.evaluate_psn`;
+* the execution estimate,
+  :meth:`~repro.runtime.simulator.SimulatorContext.execution_s`;
+* the occupancy scan,
+  :meth:`~repro.runtime.state.ChipState.occupied_tiles`;
+* the re-admission retry budget,
+  :meth:`~repro.faults.recovery.RecoveryPolicy.retry_delay_s` (the
+  first try after an eviction waits the initial backoff instead of
+  running at once).
+
+Model notes (where the service loop differs on purpose):
 
 * **NoC contention proxy.**  The fixed-sequence simulator re-runs the
   flow-based analytical NoC model on every occupancy change.  In a
@@ -22,15 +37,25 @@ Model notes (where the service loop differs from
   occupied_fraction`` and uses the placement's true mean hop
   distance - a calibrated occupancy proxy that keeps mapper effects
   (PARM's placement and Vdd/DoP choices) while staying O(tiles) per
-  refresh.
+  refresh.  Router load for the PSN evaluation is likewise a proxy:
+  each task injects its profiled flit rate at its own router.
 * **Deferred VE sampling.**  Instead of Poisson-sampling every tile on
   every event, each running app accrues *expected* VE exposure
   (``expected_rate_hz`` at its noisiest tile, integrated over time) and
   one Poisson draw at its exit converts the exposure into emergencies
   and a rollback penalty.  Same distribution, one draw per app.
-* **PSN** is evaluated with the calibrated
-  :class:`~repro.pdn.fast.FastPsnModel` batch path exactly as the
-  simulator does, on every occupancy change.
+* **Metrics.**  O(1) streaming :class:`TrafficStats` (a time-weighted
+  mean of the cached per-refresh PSN) instead of one record per app.
+* **Eviction.**  An evicted app resumes from the fraction of the work
+  charged at its start (``work_s``) still left, not of a re-scaled
+  estimate.
+* **Head blocking.**  A class whose head failed to map joins
+  ``blocked`` until occupancy changes (an exit, a fault, a preemption
+  or a PSN shed clears it); arrivals into a blocked class enqueue
+  without another ``try_map``.  Dropping a blocked class's infeasible
+  head does not unblock it, so the next head waits for the next
+  occupancy change even when it would map now.  The simulator instead
+  tries its FCFS head at every event.
 
 Determinism: every draw comes from two per-epoch streams derived with
 :func:`~repro.harness.seeding.derive_seed` (``service/arrivals`` and
@@ -54,14 +79,12 @@ from repro.chip.cmp import ChipDescription, default_chip
 from repro.harness.errors import ConfigError
 from repro.harness.seeding import derive_seed
 from repro.pdn.emergencies import MAX_POISSON_MEAN, VoltageEmergencyPolicy
-from repro.pdn.fast import BIN_INDEX
 from repro.pdn.sensors import SensorFault, SensorNetwork
-from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.service.arrivals import UniformStream
 from repro.runtime.service.config import ServiceConfig
 from repro.runtime.service.stats import TrafficStats
 from repro.runtime.simulator import SimulatorContext
-from repro.runtime.state import ChipState, TileOccupant
+from repro.runtime.state import ChipState
 
 # Event kinds, in same-instant processing order: faults reshape the
 # chip first, exits free capacity, retries re-admit, arrivals join last.
@@ -157,9 +180,6 @@ class ServiceEngine:
         chip: Platform; defaults to the paper's 60-tile 7 nm CMP.
         library: Shared profile library.
         context: Pre-built chip immutables (shared across engines).
-        sensors: PSN sensor network (injected by fault tests).
-        ve_policy: Voltage-emergency rate model.
-        checkpoints: Checkpoint/rollback cost model.
     """
 
     def __init__(
@@ -168,9 +188,6 @@ class ServiceEngine:
         chip: Optional[ChipDescription] = None,
         library: Optional[ProfileLibrary] = None,
         context: Optional[SimulatorContext] = None,
-        sensors: Optional[SensorNetwork] = None,
-        ve_policy: Optional[VoltageEmergencyPolicy] = None,
-        checkpoints: Optional[CheckpointPolicy] = None,
     ) -> None:
         from repro.exp.frameworks import framework as lookup_framework
 
@@ -178,16 +195,11 @@ class ServiceEngine:
         self._chip = chip or default_chip()
         self._library = library or ProfileLibrary()
         self._context = context or SimulatorContext.for_chip(self._chip)
-        self._sensors = sensors or SensorNetwork()
-        self._ve_policy = ve_policy or VoltageEmergencyPolicy()
-        self._checkpoints = checkpoints or CheckpointPolicy()
+        self._sensors = SensorNetwork()
+        self._ve_policy = VoltageEmergencyPolicy()
         self._manager = lookup_framework(config.framework).make_manager()
         self._pool = WorkloadType(config.workload).pool()
-        self._performance = self._context.performance
         self._topology = self._context.topology
-        #: Per-profile fastest WCET (feasibility checks); bounded by the
-        #: benchmark suite size, not the traffic.
-        self._best_wcet_s: Dict[str, float] = {}
         #: Per-(profile, vdd, dop) mean task injection rate in flits per
         #: cycle (router-activity proxy); bounded by the operating-point
         #: grid.
@@ -201,25 +213,9 @@ class ServiceEngine:
     def config(self) -> ServiceConfig:
         return self._config
 
-    @property
-    def sensors(self) -> SensorNetwork:
-        return self._sensors
-
     # ------------------------------------------------------------------
     # Profile helpers (memoised; keys bounded by the benchmark suite)
     # ------------------------------------------------------------------
-
-    def _best_wcet(self, profile_name: str) -> float:
-        best = self._best_wcet_s.get(profile_name)
-        if best is None:
-            profile = self._library.get(profile_name)
-            best = min(
-                profile.wcet_s(v, d)
-                for v in profile.supported_vdds
-                for d in profile.supported_dops
-            )
-            self._best_wcet_s[profile_name] = best
-        return best
 
     def _task_inject_rate(
         self, profile_name: str, vdd: float, dop: int
@@ -394,7 +390,7 @@ class ServiceEngine:
         profile_name = self._pool[
             min(int(u_profile * len(self._pool)), len(self._pool) - 1)
         ]
-        best_wcet = self._best_wcet(profile_name)
+        best_wcet = self._library.get(profile_name).best_wcet_s
         slack = service_cls.slack_scale * (0.75 + 0.5 * u_slack)
         deadline_s = now + slack * best_wcet
         stats = state.stats.cls(service_cls.name)
@@ -468,7 +464,8 @@ class ServiceEngine:
                 stats.bump("ve_count", count)
                 state.stats.ve_count += count
                 freq = self._chip.power_model.frequency(entry["vdd"])
-                penalty = count * self._checkpoints.rollback_penalty_s(freq)
+                checkpoints = self._context.checkpoints
+                penalty = count * checkpoints.rollback_penalty_s(freq)
                 entry["exit_s"] = now + penalty
                 entry["exit_version"] = version + 1
                 heapq.heappush(
@@ -513,12 +510,11 @@ class ServiceEngine:
         if entry is None or entry["attempts"] != version:
             return False  # stale retry
         stats = state.stats.cls(entry["cls"])
-        profile_name = entry["profile"]
-        if self._best_wcet(profile_name) >= entry["deadline_s"] - now:
+        profile = self._library.get(entry["profile"])
+        if profile.best_wcet_s >= entry["deadline_s"] - now:
             stats.bump("dropped")
             del state.readmit[app_id]
             return False
-        profile = self._library.get(profile_name)
         decision = self._manager.try_map(
             profile, entry["deadline_s"] - now, chip_state
         )
@@ -538,13 +534,12 @@ class ServiceEngine:
             )
             return True
         entry["attempts"] += 1
-        if entry["attempts"] > cfg.recovery.max_remap_retries:
+        delay = cfg.recovery.retry_delay_s(entry["attempts"])
+        if delay is None:
             stats.bump("failed")
             del state.readmit[app_id]
             return False
-        entry["retry_at_s"] = now + cfg.recovery.backoff_s(
-            entry["attempts"] - 1
-        )
+        entry["retry_at_s"] = now + delay
         heapq.heappush(
             heap, (entry["retry_at_s"], _RETRY, app_id, entry["attempts"])
         )
@@ -607,15 +602,13 @@ class ServiceEngine:
             stats = state.stats.cls(c.name)
             while queue:
                 head = queue[0]
-                if self._best_wcet(head["profile"]) >= (
-                    head["deadline_s"] - now
-                ):
+                profile = self._library.get(head["profile"])
+                if profile.best_wcet_s >= head["deadline_s"] - now:
                     stats.bump("dropped")
                     queue.pop(0)
                     continue
                 if c.name in blocked:
                     break
-                profile = self._library.get(head["profile"])
                 decision = self._manager.try_map(
                     profile, head["deadline_s"] - now, chip_state
                 )
@@ -675,8 +668,10 @@ class ServiceEngine:
         stats.busy_tile_s += len(entry["task_to_tile"]) * (
             now - entry["mapped_s"]
         )
-        retry_at = now + self._config.recovery.backoff_s(0)
-        if self._best_wcet(entry["profile"]) >= entry["deadline_s"] - retry_at:
+        # The first re-admission try is deferred, not made at once.
+        retry_at = now + self._config.recovery.retry_delay_s(0)
+        profile = self._library.get(entry["profile"])
+        if profile.best_wcet_s >= entry["deadline_s"] - retry_at:
             # Hopeless by the earliest possible retry: drop now instead
             # of parking a doomed entry in the re-admission set.
             stats.bump("dropped")
@@ -696,7 +691,7 @@ class ServiceEngine:
             "attempts": 0,
             "cls": entry["cls"],
             "deadline_s": entry["deadline_s"],
-            "penalty_s": self._checkpoints.rollback_penalty_s(freq),
+            "penalty_s": self._context.checkpoints.rollback_penalty_s(freq),
             "profile": entry["profile"],
             "resume_fraction": fraction,
             "retry_at_s": retry_at,
@@ -766,13 +761,9 @@ class ServiceEngine:
             1.0 - len(chip_state.free_tiles()) / self._chip.tile_count
         )
         latency_scale = 1.0 + self._config.contention_scale * occupied_fraction
-        freq = self._chip.power_model.frequency(decision.vdd)
-        return self._performance.estimate_wcet_s(
-            profile.graph(decision.dop),
-            decision.vdd,
-            avg_hops=avg_hops,
-            latency_scale=latency_scale,
-        ) * self._checkpoints.execution_dilation(freq)
+        return self._context.execution_s(
+            profile.graph(decision.dop), decision.vdd, avg_hops, latency_scale
+        )
 
     # ------------------------------------------------------------------
     # PSN refresh, VE exposure, PSN shedding
@@ -839,10 +830,7 @@ class ServiceEngine:
         blind).
         """
         peak, avg = self._evaluate_psn(state, chip_state)
-        occupied = [
-            t for t in self._chip.mesh.tiles()
-            if chip_state.occupant(t) is not None
-        ]
+        occupied = chip_state.occupied_tiles()
         self._occupied_tiles = len(occupied)
         self._chip_peak_psn_pct = float(np.max(peak)) if occupied else 0.0
         self._mean_occ_psn_pct = (
@@ -869,29 +857,14 @@ class ServiceEngine:
         # Router-activity proxy: each mapped task injects its profiled
         # flit rate at its own router.
         router_rate = np.zeros(self._chip.tile_count)
-        task_bin: Dict[int, int] = {}
-        task_activity: Dict[int, float] = {}
-        graphs: Dict[int, Any] = {}
+        graphs = {}
         for aid, entry in state.running.items():
             rate = self._task_inject_rate(
                 entry["profile"], entry["vdd"], entry["dop"]
             )
-            graph = graphs.get(aid)
-            if graph is None:
-                graph = self._library.get(entry["profile"]).graph(
-                    entry["dop"]
-                )
-                graphs[aid] = graph
-            for task, tile in entry["task_to_tile"].items():
+            graphs[aid] = self._library.get(entry["profile"]).graph(
+                entry["dop"]
+            )
+            for tile in entry["task_to_tile"].values():
                 router_rate[tile] += rate
-                node = graph.task(int(task))
-                task_bin[tile] = BIN_INDEX[node.activity_bin]
-                task_activity[tile] = node.activity_factor
-
-        def core_load(
-            tile: int, occ: TileOccupant
-        ) -> Tuple[float, float, int]:
-            vdd = state.running[occ.app_id]["vdd"]
-            return task_activity[tile], vdd, task_bin[tile]
-
-        return self._context.evaluate_psn(chip_state, router_rate, core_load)
+        return self._context.evaluate_psn(chip_state, router_rate, graphs)

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Callable,
+    ClassVar,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -47,6 +48,7 @@ from typing import (
 
 import numpy as np
 
+from repro.apps.graph import ApplicationGraph
 from repro.apps.performance import PerformanceModel
 from repro.apps.profiles import FLIT_PAYLOAD_BYTES
 from repro.apps.workload import ApplicationArrival
@@ -71,7 +73,7 @@ from repro.runtime.migration import (
     pick_migration_target,
     plan_compaction,
 )
-from repro.runtime.state import ChipState, TileOccupant
+from repro.runtime.state import ChipState
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
     from repro.core.base import MappingDecision, ResourceManager
@@ -114,6 +116,8 @@ class SimulatorContext:
     many framework combinations) over the same chip used to rebuild all
     of them per simulator; constructing the context once and passing it
     to every simulator hoists that warm-up out of the per-seed loop.
+    Both runtime loops (this simulator and the service engine) take
+    their PSN evaluation and execution estimate from it.
 
     The context is immutable and holds no per-run state, so sharing one
     instance across sequential or concurrent simulations of the same
@@ -126,18 +130,16 @@ class SimulatorContext:
     performance: PerformanceModel
     #: Per power domain, the tuple of member tile ids (row-major).
     domain_tiles: Tuple[Tuple[int, ...], ...]
+    #: Checkpoint/rollback cost model both runtime loops charge.
+    checkpoints: ClassVar[CheckpointPolicy] = CheckpointPolicy()
 
     @classmethod
-    def for_chip(
-        cls,
-        chip: ChipDescription,
-        psn_model: Optional[FastPsnModel] = None,
-    ) -> "SimulatorContext":
+    def for_chip(cls, chip: ChipDescription) -> "SimulatorContext":
         """Build the shared immutables for one chip description."""
         return cls(
             chip=chip,
             topology=MeshTopology(chip.mesh),
-            psn_model=psn_model if psn_model is not None else FastPsnModel(),
+            psn_model=FastPsnModel(),
             performance=PerformanceModel(chip.power_model),
             domain_tiles=tuple(
                 tuple(chip.domains.tiles_of(d))
@@ -145,27 +147,41 @@ class SimulatorContext:
             ),
         )
 
+    def execution_s(
+        self,
+        graph: ApplicationGraph,
+        vdd: float,
+        avg_hops: float,
+        latency_scale: float,
+    ) -> float:
+        """Execution estimate of both runtime loops: the WCET under the
+        given NoC distance and contention, dilated by checkpointing."""
+        frequency = self.chip.power_model.frequency(vdd)
+        return self.performance.estimate_wcet_s(
+            graph, vdd, avg_hops=avg_hops, latency_scale=latency_scale
+        ) * self.checkpoints.execution_dilation(frequency)
+
     def evaluate_psn(
         self,
         state: ChipState,
         router_rate: Sequence[float],
-        core_load: Callable[[int, TileOccupant], Tuple[float, float, int]],
+        graphs: Mapping[int, ApplicationGraph],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-tile peak/avg PSN of one chip snapshot.
 
         The one PSN evaluation of both runtime loops, which differ only
-        in where the per-tile inputs come from.  Tile loads are gathered
-        per domain into flat arrays and the kernel ladders are evaluated
-        for *all* active domains with one batched matvec
+        in how they derive router load.  Tile loads are gathered per
+        domain into flat arrays and the kernel ladders are evaluated for
+        *all* active domains with one batched matvec
         (:meth:`FastPsnModel.chip_psn`).
 
         Args:
-            state: Occupancy and per-domain supply voltages.
+            state: Occupancy and per-domain supply voltages; each
+                occupant's Vdd is its core's supply.
             router_rate: Per-tile router load in flits/cycle; clamped at
                 :data:`MAX_ROUTER_RATE` before conversion to power.
-            core_load: For an occupied tile and its occupant, the running
-                task's ``(activity factor, core Vdd, activity-bin
-                index)``.
+            graphs: Per running app id, its APG at its DoP (the source
+                of each task's activity factor and bin).
         """
         chip = self.chip
         power_model = chip.power_model
@@ -202,10 +218,11 @@ class SimulatorContext:
                     if r_rate > 0:
                         routers[i] = router_power
                     continue
-                activity, core_vdd, bins[i] = core_load(tile, occ)
+                task = graphs[occ.app_id].task(occ.task_id)
+                bins[i] = BIN_INDEX[task.activity_bin]
                 cores[i] = power_model.core_dynamic(
-                    activity, core_vdd
-                ) + power_model.core_leakage(core_vdd)
+                    task.activity_factor, occ.vdd
+                ) + power_model.core_leakage(occ.vdd)
                 routers[i] = router_power
             dom_vdds.append(vdd)
             dom_tiles.append(tiles)
@@ -250,9 +267,6 @@ class RuntimeSimulator:
         manager: Resource manager (PARM or HM).
         routing: NoC routing algorithm (XY, ICON or PANR).
         ve_policy: Voltage-emergency rate model.
-        checkpoints: Checkpoint/rollback cost model.
-        sensors: PSN sensor quantisation (routing and the manager see
-            sensor values; VE sampling uses the true noise).
         migration: When set, fragmentation that blocks the queue head
             triggers migration-based compaction (an extension; see
             :mod:`repro.runtime.migration`).
@@ -281,8 +295,6 @@ class RuntimeSimulator:
         manager: ResourceManager,
         routing: RoutingAlgorithm,
         ve_policy: Optional[VoltageEmergencyPolicy] = None,
-        checkpoints: Optional[CheckpointPolicy] = None,
-        sensors: Optional[SensorNetwork] = None,
         migration: Optional[MigrationPolicy] = None,
         reactive_migration: Optional[ReactiveMigrationPolicy] = None,
         faults: Optional[FaultCampaign] = None,
@@ -296,8 +308,9 @@ class RuntimeSimulator:
         self._manager = manager
         self._routing = routing
         self._ve_policy = ve_policy or VoltageEmergencyPolicy()
-        self._checkpoints = checkpoints or CheckpointPolicy()
-        self._sensors = sensors or SensorNetwork()
+        # Routing and the reactive back end see quantised sensor
+        # readings; VE sampling uses the true noise.
+        self._sensors = SensorNetwork()
         self._migration = migration
         self._reactive = reactive_migration
         # An empty campaign is exactly "no faults": keep every fault hook
@@ -315,7 +328,6 @@ class RuntimeSimulator:
             )
         self._context = context
         self._noc = AnalyticalNocModel(context.topology, routing)
-        self._performance = context.performance
 
     # ------------------------------------------------------------------
 
@@ -380,7 +392,7 @@ class RuntimeSimulator:
                 record=app.record,
                 resume_fraction=min(1.0, max(0.0, frac)),
                 pending_penalty_s=app.pending_penalty_s
-                + self._checkpoints.rollback_penalty_s(freq),
+                + self._context.checkpoints.rollback_penalty_s(freq),
                 exit_version=app.exit_version,
             )
 
@@ -390,7 +402,8 @@ class RuntimeSimulator:
             rec = recovering.get(aid)
             if rec is None:
                 return False
-            if not self._still_feasible(rec.arrival, now):
+            arrival = rec.arrival
+            if arrival.profile.best_wcet_s >= arrival.deadline_s - now:
                 rec.record.dropped_s = now
                 del recovering[aid]
                 return False
@@ -425,13 +438,13 @@ class RuntimeSimulator:
                 )
                 del recovering[aid]
                 return True
-            if rec.attempts >= 1 + self._recovery.max_remap_retries:
+            delay = self._recovery.retry_delay_s(rec.attempts)
+            if delay is None:
                 # This episode's retry budget is exhausted: abandon the
                 # application as a clean outcome, not an exception.
                 rec.record.failed_s = now
                 del recovering[aid]
                 return False
-            delay = self._recovery.backoff_s(rec.attempts - 1)
             heapq.heappush(
                 heap, (now + delay, next(counter), _RETRY, aid, rec.attempts)
             )
@@ -445,9 +458,7 @@ class RuntimeSimulator:
             dt = t - now
 
             # ---- account the elapsed interval -------------------------
-            occupied = [
-                tile for tile in self._chip.mesh.tiles() if state.occupant(tile)
-            ]
+            occupied = state.occupied_tiles()
             metrics.record_psn_interval(
                 dt,
                 [float(avg_psn[tile]) for tile in occupied],
@@ -513,7 +524,7 @@ class RuntimeSimulator:
             while queue:
                 head = queue[0]
                 record = metrics.apps[head.app_id]
-                if not self._still_feasible(head, now):
+                if head.profile.best_wcet_s >= head.deadline_s - now:
                     record.dropped_s = now
                     queue.pop(0)
                     continue
@@ -632,10 +643,8 @@ class RuntimeSimulator:
         # Noisiest occupied tile above the trigger whose app is off
         # cooldown.
         best_tile, best_level = None, policy.trigger_pct
-        for tile in self._chip.mesh.tiles():
+        for tile in state.occupied_tiles():
             occ = state.occupant(tile)
-            if occ is None:
-                continue
             level = float(sensor_psn[tile])
             if level <= best_level:
                 continue
@@ -655,9 +664,7 @@ class RuntimeSimulator:
         state.move_task(occ.app_id, occ.task_id, target)
         new_map = dict(app.decision.task_to_tile)
         new_map[occ.task_id] = target
-        import dataclasses as _dc
-
-        app.decision = _dc.replace(app.decision, task_to_tile=new_map)
+        app.decision = replace(app.decision, task_to_tile=new_map)
         app.remaining_s += policy.per_task_cost_s
         app.record.migrated_tasks += 1
         metrics.reactive_move_count += 1
@@ -713,17 +720,6 @@ class RuntimeSimulator:
         metrics.compaction_count += 1
         return head_decision
 
-    def _still_feasible(self, arrival: ApplicationArrival, now: float) -> bool:
-        """Whether any operating point can still meet the deadline."""
-        profile = arrival.profile
-        slack = arrival.deadline_s - now
-        best = min(
-            profile.wcet_s(v, d)
-            for v in profile.supported_vdds
-            for d in profile.supported_dops
-        )
-        return best < slack
-
     def _sample_emergencies(
         self,
         dt: float,
@@ -737,10 +733,8 @@ class RuntimeSimulator:
         if dt <= 0:
             return hit
         penalties: Dict[int, float] = {}
-        for tile in self._chip.mesh.tiles():
+        for tile in state.occupied_tiles():
             occ = state.occupant(tile)
-            if occ is None:
-                continue
             count = self._ve_policy.sample_emergencies(
                 float(peak_psn[tile]), dt, self._rng
             )
@@ -751,7 +745,7 @@ class RuntimeSimulator:
                 continue
             freq = self._chip.power_model.frequency(app.decision.vdd)
             penalties[occ.app_id] = penalties.get(occ.app_id, 0.0) + (
-                count * self._checkpoints.rollback_penalty_s(freq)
+                count * self._context.checkpoints.rollback_penalty_s(freq)
             )
             app.record.ve_count += count
             metrics.total_ve_count += count
@@ -778,11 +772,15 @@ class RuntimeSimulator:
         the last two stay ``None`` / empty on fault-free runs.
         """
         # --- flows from every running application ----------------------
+        graphs = {
+            aid: app.arrival.profile.graph(app.decision.dop)
+            for aid, app in running.items()
+        }
         flows: List[Flow] = []
         flow_app: List[Tuple[int, float]] = []  # (app_id, volume)
         for aid, app in running.items():
             d = app.decision
-            graph = app.arrival.profile.graph(d.dop)
+            graph = graphs[aid]
             freq = self._chip.power_model.frequency(d.vdd)
             base_cycles = app.arrival.profile.wcet_s(d.vdd, d.dop) * freq
             for src, dst, volume in graph.edges():
@@ -819,20 +817,15 @@ class RuntimeSimulator:
 
         for aid, app in running.items():
             d = app.decision
-            profile = app.arrival.profile
             vol = vol_acc.get(aid, 0.0)
             if vol > 0:
                 avg_hops = max(1.0, hop_acc[aid] / vol)
                 latency_scale = scale_max.get(aid, 1.0)
             else:
                 avg_hops, latency_scale = 1.0, 1.0
-            freq = self._chip.power_model.frequency(d.vdd)
-            exec_time = self._performance.estimate_wcet_s(
-                profile.graph(d.dop),
-                d.vdd,
-                avg_hops=avg_hops,
-                latency_scale=latency_scale,
-            ) * self._checkpoints.execution_dilation(freq)
+            exec_time = self._context.execution_s(
+                graphs[aid], d.vdd, avg_hops, latency_scale
+            )
             if app.exec_time_s <= 0.0:
                 # Freshly (re-)mapped: owe the resume fraction of the new
                 # estimate plus any rollback/restart penalty.  For a fresh
@@ -848,7 +841,9 @@ class RuntimeSimulator:
             app.exec_time_s = exec_time
 
         # --- PSN per power domain ----------------------------------------
-        peak, avg = self._evaluate_psn(state, running, report)
+        peak, avg = self._context.evaluate_psn(
+            state, report.router_flits_per_cycle, graphs
+        )
         if fstate is not None:
             if fstate.droop_pct.any():
                 # VRM droop raises the domain's noise floor for true PSN
@@ -859,29 +854,3 @@ class RuntimeSimulator:
             return peak, avg, sensor, valid, unroutable
         sensor = self._sensors.read_array(peak)
         return peak, avg, sensor, None, unroutable
-
-    def _evaluate_psn(
-        self,
-        state: ChipState,
-        running: Dict[int, _RunningApp],
-        report,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-tile peak/avg PSN from occupancy + analytical router load."""
-        graphs = {
-            aid: app.arrival.profile.graph(app.decision.dop)
-            for aid, app in running.items()
-        }
-
-        def core_load(
-            tile: int, occ: TileOccupant
-        ) -> Tuple[float, float, int]:
-            task = graphs[occ.app_id].task(occ.task_id)
-            return (
-                task.activity_factor,
-                running[occ.app_id].decision.vdd,
-                BIN_INDEX[task.activity_bin],
-            )
-
-        return self._context.evaluate_psn(
-            state, report.router_flits_per_cycle, core_load
-        )

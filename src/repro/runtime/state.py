@@ -102,6 +102,10 @@ class ChipState:
     def occupant(self, tile: int) -> Optional[TileOccupant]:
         return self._occupants.get(tile)
 
+    def occupied_tiles(self) -> List[int]:
+        """Tiles running a task, ascending id."""
+        return sorted(self._occupants)
+
     def domain_vdd(self, domain: int) -> Optional[float]:
         """Current supply voltage of a domain (None when idle)."""
         return self._domain_vdd.get(domain)

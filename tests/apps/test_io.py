@@ -46,12 +46,6 @@ class TestRoundTrip:
                 assert r.work_cycles == t.work_cycles
                 assert r.activity_factor == t.activity_factor
 
-    def test_router_rates_work_after_load(self, profile):
-        loaded = profile_from_dict(profile_to_dict(profile, "7nm"))
-        assert loaded.task_router_flits_per_cycle(0.4, 8, 1) == (
-            profile.task_router_flits_per_cycle(0.4, 8, 1)
-        )
-
     def test_file_round_trip(self, profile, tmp_path):
         path = tmp_path / "fft.json"
         save_profile(profile, str(path))

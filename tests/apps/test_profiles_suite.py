@@ -15,6 +15,7 @@ from repro.apps.suite import (
     ProfileLibrary,
     benchmark,
 )
+from repro.chip.technology import TECHNOLOGY_ORDER, technology
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +121,15 @@ class TestProfile:
         with pytest.raises(KeyError):
             fft.point(0.45, 8)
 
-    def test_router_rate_comm_vs_compute(self, library):
-        comm = library.get("canneal")
-        compute = library.get("swaptions")
-        r_comm = comm.task_router_flits_per_cycle(0.6, 16, 3)
-        r_comp = compute.task_router_flits_per_cycle(0.6, 16, 3)
-        assert r_comm > 5 * r_comp
+    @pytest.mark.parametrize("node", TECHNOLOGY_ORDER)
+    def test_best_wcet_is_fastest_dop_at_top_vdd(self, node):
+        library = ProfileLibrary(tech=technology(node))
+        for name in BENCHMARKS:
+            profile = library.get(name)
+            top = max(profile.supported_vdds)
+            assert profile.best_wcet_s == min(
+                profile.wcet_s(top, dop) for dop in profile.supported_dops
+            ), (node, name)
 
     def test_deterministic_rebuild(self):
         a = build_profile(benchmark("fft"), dops=(8,), vdds=(0.6,))

@@ -102,6 +102,22 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError):
             policy.backoff_s(-1)
 
+    def test_retry_delay_budget(self):
+        policy = RecoveryPolicy(
+            max_remap_retries=2, backoff_initial_s=0.1, backoff_factor=2.0
+        )
+        assert policy.max_attempts == 3
+        # No failed try yet: a deferred first try waits the initial
+        # backoff; after k failed tries the wait is backoff_s(k - 1).
+        assert policy.retry_delay_s(0) == policy.backoff_s(0)
+        assert policy.retry_delay_s(1) == policy.backoff_s(0)
+        assert policy.retry_delay_s(2) == policy.backoff_s(1)
+        assert policy.retry_delay_s(3) is None
+        assert policy.retry_delay_s(4) is None
+        no_retries = RecoveryPolicy(max_remap_retries=0)
+        assert no_retries.retry_delay_s(0) == no_retries.backoff_s(0)
+        assert no_retries.retry_delay_s(1) is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(max_remap_retries=-1)

@@ -37,6 +37,16 @@ class TestOccupy:
         assert state.domain_vdd(0) is None
         assert state.used_power_w() == 0.0
 
+    def test_occupied_tiles_ascending(self, state):
+        assert state.occupied_tiles() == []
+        state.occupy(1, {0: 33, 1: 2, 2: 12}, 0.6, 3.0)
+        state.occupy(2, {0: 50, 1: 0}, 0.6, 2.0)
+        assert state.occupied_tiles() == [0, 2, 12, 33, 50]
+        state.move_task(1, 0, 40)
+        assert state.occupied_tiles() == [0, 2, 12, 40, 50]
+        state.release(2)
+        assert state.occupied_tiles() == [2, 12, 40]
+
     def test_free_domains_requires_all_four_tiles(self, state):
         state.occupy(1, {0: 0}, 0.4, 1.0)
         assert 0 not in state.free_domains()
