@@ -385,9 +385,6 @@ class _Resolver:
         #: Project root packages, to tell unresolved-internal from external.
         self._roots = {m.split(".")[0] for m in indexes}
 
-    def is_project_module(self, dotted: str) -> bool:
-        return dotted in self._by_module
-
     def class_index(self, class_qname: str) -> Optional[_ClassIndex]:
         module, _, name = class_qname.rpartition(".")
         mod_idx = self._by_module.get(module)

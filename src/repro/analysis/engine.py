@@ -99,11 +99,6 @@ class ProjectContext:
     graph: Any
     functions: Dict[str, Tuple[ModuleInfo, ast.AST]]
 
-    def module_for(self, rel: str) -> Optional[ModuleInfo]:
-        for mod in self.modules:
-            if mod.rel == rel:
-                return mod
-        return None
 
 
 class ProjectRule(Rule):

@@ -9,7 +9,7 @@ edges sorted by decreasing volume (Algorithm 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -43,16 +43,33 @@ class TaskNode:
             raise ValueError("activity_factor must be in [0, 1]")
 
 
+class _Snapshot(NamedTuple):
+    """Read-only answers to the structural queries of one graph state."""
+
+    tasks: Tuple[TaskNode, ...]
+    edges: Tuple[Tuple[int, int, float], ...]
+    predecessors: Dict[int, Tuple[int, ...]]
+    successors: Dict[int, Tuple[int, ...]]
+    topological_order: Tuple[int, ...]
+
+
 class ApplicationGraph:
     """A validated APG with volume-sorted edge access.
 
     Edges carry ``volume_bytes``: the total data exchanged between the two
     threads over one execution of the application.
+
+    networkx stores the graph while it is built.  The structural queries
+    (:meth:`tasks`, :meth:`edges`, :meth:`predecessors`,
+    :meth:`successors`, :meth:`topological_order`) read one snapshot of
+    plain tuples and dicts, built on the first query after a change;
+    every mutator clears it.
     """
 
     def __init__(self) -> None:
         self._g = nx.DiGraph()
         self._tasks: Dict[int, TaskNode] = {}
+        self._snap: Optional[_Snapshot] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -64,12 +81,14 @@ class ApplicationGraph:
             raise ValueError(f"duplicate task id {task.task_id}")
         self._tasks[task.task_id] = task
         self._g.add_node(task.task_id)
+        self._snap = None
 
     def replace_task(self, task: TaskNode) -> None:
         """Replace the attributes of an existing task (same id)."""
         if task.task_id not in self._tasks:
             raise ValueError(f"unknown task id {task.task_id}")
         self._tasks[task.task_id] = task
+        self._snap = None
 
     def scale_volumes(self, factor: float) -> None:
         """Multiply every edge's communication volume by ``factor``.
@@ -83,23 +102,44 @@ class ApplicationGraph:
             raise ValueError("factor must be non-negative")
         for u, v, data in self._g.edges(data=True):
             data["volume_bytes"] = data["volume_bytes"] * factor
+        self._snap = None
 
     def add_edge(self, src: int, dst: int, volume_bytes: float) -> None:
-        """Add a communication edge; both endpoints must exist."""
+        """Add a communication edge; both endpoints must exist.
+
+        The graph stays acyclic: an edge closes a cycle exactly when
+        ``src`` is already reachable from ``dst``, and such an edge is
+        rejected with the graph unchanged.
+        """
         if src not in self._tasks or dst not in self._tasks:
             raise ValueError(f"edge ({src}, {dst}) references unknown task")
         if src == dst:
             raise ValueError("self edges are not allowed")
         if volume_bytes < 0:
             raise ValueError("volume must be non-negative")
-        self._g.add_edge(src, dst, volume_bytes=float(volume_bytes))
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(src, dst)
+        if nx.has_path(self._g, dst, src):
             raise ValueError(f"edge ({src}, {dst}) would create a cycle")
+        self._g.add_edge(src, dst, volume_bytes=float(volume_bytes))
+        self._snap = None
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def _snapshot(self) -> _Snapshot:
+        snap = self._snap
+        if snap is None:
+            g = self._g
+            snap = self._snap = _Snapshot(
+                tasks=tuple(self._tasks[i] for i in sorted(self._tasks)),
+                edges=tuple(
+                    (u, v, d["volume_bytes"]) for u, v, d in g.edges(data=True)
+                ),
+                predecessors={n: tuple(sorted(g.pred[n])) for n in g},
+                successors={n: tuple(sorted(g.succ[n])) for n in g},
+                topological_order=tuple(nx.lexicographical_topological_sort(g)),
+            )
+        return snap
 
     @property
     def task_count(self) -> int:
@@ -115,15 +155,13 @@ class ApplicationGraph:
         except KeyError:
             raise KeyError(f"unknown task id {task_id}")
 
-    def tasks(self) -> List[TaskNode]:
+    def tasks(self) -> Tuple[TaskNode, ...]:
         """All tasks ordered by id."""
-        return [self._tasks[i] for i in sorted(self._tasks)]
+        return self._snapshot().tasks
 
-    def edges(self) -> List[Tuple[int, int, float]]:
+    def edges(self) -> Tuple[Tuple[int, int, float], ...]:
         """All edges as ``(src, dst, volume_bytes)``."""
-        return [
-            (u, v, d["volume_bytes"]) for u, v, d in self._g.edges(data=True)
-        ]
+        return self._snapshot().edges
 
     def edges_by_volume(self) -> List[Tuple[int, int, float]]:
         """Edges sorted by decreasing volume (ties broken by endpoints for
@@ -139,20 +177,24 @@ class ApplicationGraph:
         return sum(v for _, _, v in self.edges())
 
     def predecessors(self, task_id: int) -> List[int]:
-        return sorted(self._g.predecessors(task_id))
+        """Ids of the task's predecessors, ascending (a fresh list)."""
+        return list(self._snapshot().predecessors[task_id])
 
     def successors(self, task_id: int) -> List[int]:
-        return sorted(self._g.successors(task_id))
+        """Ids of the task's successors, ascending (a fresh list)."""
+        return list(self._snapshot().successors[task_id])
 
-    def topological_order(self) -> List[int]:
+    def topological_order(self) -> Tuple[int, ...]:
         """Deterministic topological order of task ids."""
-        return list(nx.lexicographical_topological_sort(self._g))
+        return self._snapshot().topological_order
 
     def sources(self) -> List[int]:
-        return sorted(n for n in self._g.nodes if self._g.in_degree(n) == 0)
+        preds = self._snapshot().predecessors
+        return [t.task_id for t in self.tasks() if not preds[t.task_id]]
 
     def sinks(self) -> List[int]:
-        return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
+        succs = self._snapshot().successors
+        return [t.task_id for t in self.tasks() if not succs[t.task_id]]
 
     def high_tasks(self) -> List[int]:
         return [t.task_id for t in self.tasks() if t.activity_bin.is_high]
@@ -261,6 +303,7 @@ class ApplicationGraph:
         for layer in range(len(layer_sizes) - 1):
             cur = range(starts[layer], starts[layer + 1])
             nxt = list(range(starts[layer + 1], starts[layer + 2]))
+            fed = set()  # tasks of nxt with a predecessor
             for u in cur:
                 targets = rng.choice(
                     nxt, size=min(fanout, len(nxt)), replace=False
@@ -268,8 +311,9 @@ class ApplicationGraph:
                 for v in targets:
                     if g.volume(u, int(v)) <= 0.0:
                         g.add_edge(u, int(v), float(rng.uniform(*volume_range)))
+                    fed.add(int(v))
             for v in nxt:
-                if not g.predecessors(v):
+                if v not in fed:
                     u = int(rng.choice(list(cur)))
                     g.add_edge(u, v, float(rng.uniform(*volume_range)))
         return g

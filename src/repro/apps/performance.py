@@ -116,13 +116,33 @@ class PerformanceModel:
         latency_scale: float = 1.0,
     ) -> float:
         """End-to-end execution-time estimate: EDF-schedule makespan with
-        one dedicated core per thread."""
+        one dedicated core per thread.
+
+        Equals scheduling with :meth:`task_time_s` and
+        :meth:`comm_delay_s` bit for bit: the cycle time, sync factor and
+        hop term are computed once and every task and edge time once,
+        with the same expressions.
+        """
+        if latency_scale < 1.0:
+            raise ValueError("latency_scale must be >= 1")
+        cycle_time = self.cycle_time_s(vdd)
+        factor = self.sync.factor(graph.task_count)
+        times = {
+            t.task_id: t.work_cycles * factor * cycle_time for t in graph.tasks()
+        }
+        hop_cycles = (
+            self.default_hops if avg_hops is None else avg_hops
+        ) * self.per_hop_cycles
+        delays = {
+            (s, d): (v / self.noc_bytes_per_cycle + hop_cycles)
+            * latency_scale
+            * cycle_time
+            for s, d, v in graph.edges()
+        }
         schedule = edf_schedule(
             graph,
             core_count=max(1, graph.task_count),
-            task_time=lambda t: self.task_time_s(graph, t, vdd),
-            comm_delay=lambda s, d: self.comm_delay_s(
-                graph, s, d, vdd, avg_hops, latency_scale
-            ),
+            task_time=times.__getitem__,
+            comm_delay=lambda s, d: delays[s, d],
         )
         return schedule.makespan

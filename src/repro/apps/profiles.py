@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.apps.graph import ApplicationGraph
 from repro.apps.performance import PerformanceModel
 from repro.chip.power import PowerModel
 from repro.chip.technology import TechnologyNode, technology
+
+if TYPE_CHECKING:
+    from repro.core.clustering import TaskCluster
 
 #: Payload bytes carried by one NoC flit (used to convert APG volumes to
 #: router flit rates).
@@ -113,6 +116,7 @@ class ApplicationProfile:
         self._graphs = graphs
         self._points = points
         self._best_wcet_s = min(p.wcet_s for p in points.values())
+        self._clusters: Dict[int, Tuple["TaskCluster", ...]] = {}
 
     @property
     def spec(self) -> BenchmarkSpec:
@@ -143,6 +147,19 @@ class ApplicationProfile:
                 f"{self.name} has no graph for DoP {dop}; "
                 f"supported: {self.supported_dops}"
             )
+
+    def clusters(self, dop: int) -> Tuple["TaskCluster", ...]:
+        """Algorithm 2's task clusters (lines 3-9) of the DoP's APG.
+
+        Clustering reads only the APG, so it runs once per DoP.
+        """
+        clusters = self._clusters.get(dop)
+        if clusters is None:
+            # Imported here: the repro.core package imports this module.
+            from repro.core.clustering import cluster_tasks
+
+            clusters = self._clusters[dop] = tuple(cluster_tasks(self.graph(dop)))
+        return clusters
 
     def point(self, vdd: float, dop: int) -> OperatingPoint:
         """Profiled statistics at one operating point."""
@@ -248,6 +265,11 @@ def build_profile(
     graphs = {dop: _build_graph(spec, dop) for dop in dops}
     points: Dict[Tuple[float, int], OperatingPoint] = {}
     for dop, graph in graphs.items():
+        # Bytes each task sends or receives, summed in edge order.
+        task_bytes = {t.task_id: 0.0 for t in graph.tasks()}
+        for s, d, v in graph.edges():
+            task_bytes[s] += v
+            task_bytes[d] += v
         for vdd in vdds:
             wcet = performance.estimate_wcet_s(graph, vdd)
             freq = power_model.frequency(vdd)
@@ -255,11 +277,7 @@ def build_profile(
             total_power = 0.0
             total_flits = 0.0
             for task in graph.tasks():
-                bytes_at_task = sum(
-                    v
-                    for s, d, v in graph.edges()
-                    if s == task.task_id or d == task.task_id
-                )
+                bytes_at_task = task_bytes[task.task_id]
                 # Injection/ejection plus through-traffic: flits visit
                 # ~default_hops routers on their way across the region.
                 flits = (

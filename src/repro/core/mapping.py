@@ -6,7 +6,8 @@ Given a (Vdd, DoP) pair that satisfies the deadline, the heuristic:
    operating point exceeds the available dark-silicon headroom
    (lines 1-2);
 2. clusters the tasks by activity bin in decreasing communication order
-   (lines 3-9, :mod:`repro.core.clustering`);
+   (lines 3-9, :mod:`repro.core.clustering`), read from the profile,
+   which clusters each DoP's APG once;
 3. fails when fewer free domains exist than clusters (lines 10-11);
 4. places the clusters on domains minimising inter-domain communication
    distance and arranges same-bin tasks adjacently inside mixed domains
@@ -19,7 +20,6 @@ from typing import Optional
 
 from repro.apps.profiles import ApplicationProfile
 from repro.core.base import MappingDecision
-from repro.core.clustering import cluster_tasks
 from repro.core.placement import place_clusters
 from repro.runtime.state import ChipState
 
@@ -46,7 +46,7 @@ def psn_aware_mapping(
     if power > state.available_power_w():
         return None  # lines 1-2
     graph = profile.graph(dop)
-    clusters = cluster_tasks(graph)  # lines 3-9
+    clusters = profile.clusters(dop)  # lines 3-9
     free = state.free_domains()
     if len(free) < len(clusters):
         return None  # lines 10-11

@@ -16,7 +16,7 @@ middle rung near the chip's service capacity for the mixed workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.runtime.service.arrivals import PoissonProcess
 from repro.runtime.service.config import ServiceConfig
@@ -142,22 +142,3 @@ def print_traffic(rows: Sequence[TrafficRow]) -> None:
             f"{r.utilization_fraction:>5.2f} {r.wait_p95_s:>8.3f} "
             f"{r.sojourn_p99_s:>7.3f} {r.peak_psn_pct:>7.2f}"
         )
-
-
-def traffic_table(rows: Sequence[TrafficRow]) -> Dict[str, Dict[str, float]]:
-    """The sweep as nested JSON-friendly dicts (keyed fw/load)."""
-    return {
-        f"{r.framework}/{r.load}": {
-            "arrived": float(r.arrived),
-            "completed": float(r.completed),
-            "drop_fraction": r.drop_fraction,
-            "peak_psn_pct": r.peak_psn_pct,
-            "rate_hz": r.rate_hz,
-            "shed_fraction": r.shed_fraction,
-            "sla_miss_fraction": r.sla_miss_fraction,
-            "sojourn_p99_s": r.sojourn_p99_s,
-            "utilization_fraction": r.utilization_fraction,
-            "wait_p95_s": r.wait_p95_s,
-        }
-        for r in rows
-    }

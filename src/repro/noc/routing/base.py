@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.chip.mesh import MeshGeometry
 from repro.noc.topology import Direction, MeshTopology, PORT_CODES
 
 #: Tie-break rank of each direction in :meth:`RoutingAlgorithm.select`
@@ -35,6 +36,9 @@ _TIE_RANK = {d: i for i, d in enumerate(Direction)}
 #: Entry of :meth:`RoutingAlgorithm.forced_hops` where the policy
 #: chooses among several directions.
 FREE_HOP = -1
+
+#: Forced-hop tables keyed by (class defining ``permissible``, mesh).
+_FORCED_TABLES: Dict[Tuple[type, MeshGeometry], np.ndarray] = {}
 
 
 @dataclass
@@ -139,12 +143,25 @@ class RoutingAlgorithm(abc.ABC):
         dst``, the code of the sole permissible direction where
         :meth:`permissible` names exactly one, and :data:`FREE_HOP`
         where the policy has a choice.  Built from :meth:`permissible`
-        alone; the engine and the analytical model each build theirs
-        once, in ``__init__``.
+        alone, once per process for each (class that defines
+        :meth:`permissible`, mesh): every policy instance of that class
+        shares it, so :meth:`permissible` must read nothing but its
+        arguments' mesh and tiles.
 
         Raises:
             RuntimeError: A forced hop leaves the mesh.
         """
+        owner = next(
+            cls for cls in type(self).__mro__ if "permissible" in vars(cls)
+        )
+        key = (owner, topo.mesh)
+        table = _FORCED_TABLES.get(key)
+        if table is None:
+            table = self._build_forced_hops(topo)
+            _FORCED_TABLES[key] = table
+        return table
+
+    def _build_forced_hops(self, topo: MeshTopology) -> np.ndarray:
         mesh = topo.mesh
         local = PORT_CODES[Direction.LOCAL]
         on_mesh = topo.neighbor_codes() >= 0

@@ -153,10 +153,6 @@ class MeshTopology:
         """Manhattan (hop) distance between two tiles, via the table."""
         return int(self._hops[src, dst])
 
-    def hops_table(self) -> np.ndarray:
-        """The full ``(n, n)`` int64 hop-distance table (read-only use)."""
-        return self._hops
-
     def direction_towards(self, src: int, dst: int) -> List[Direction]:
         """Productive (distance-reducing) directions from src to dst."""
         return list(self._towards[(src, dst)])

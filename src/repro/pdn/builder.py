@@ -18,7 +18,7 @@ whole-chip analysis decomposes into independent per-domain circuits.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.chip.technology import TechnologyNode
 from repro.pdn.circuit import GROUND, Circuit, Waveform
@@ -80,10 +80,6 @@ class DomainPdnBuilder:
             circuit.resistor(TILE_NODES[a], mid, tech.r_grid_ohm)
             circuit.inductor(mid, TILE_NODES[b], tech.l_grid_h)
         return circuit
-
-    def tile_nodes(self) -> List[str]:
-        """The four tile supply-rail node names."""
-        return list(TILE_NODES)
 
     def impedance_profile(
         self, frequencies_hz, tile_index: int = 0

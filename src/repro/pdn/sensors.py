@@ -165,10 +165,6 @@ class SensorNetwork:
         """Active fault of a tile's sensor, if any."""
         return self._faults.get(tile)
 
-    def faulted_tiles(self) -> Dict[int, SensorFault]:
-        """Copy of the active fault map."""
-        return dict(self._faults)
-
     def is_stale(self, tile: int, now_s: float) -> bool:
         """Whether a tile's reading is older than the staleness limit."""
         if self.staleness_limit_s is None:

@@ -99,8 +99,14 @@ def edf_schedule(
     scheduled: List[ScheduledTask] = []
     while ready:
         deadline, task, earliest = heapq.heappop(ready)
-        # Pick the core that lets the task start soonest (ties: lowest id).
-        core = min(range(core_count), key=lambda c: (max(core_free[c], earliest), c))
+        # Pick the core that lets the task start soonest (ties: lowest
+        # id): the lowest core already free by ``earliest``, else the
+        # one that frees up first.
+        for core, free in enumerate(core_free):
+            if free <= earliest:
+                break
+        else:
+            core = min(range(core_count), key=core_free.__getitem__)
         start = max(core_free[core], earliest)
         finish = start + task_time(task)
         core_free[core] = finish

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.apps.performance import PerformanceModel
 from repro.apps.profiles import (
+    FLIT_PAYLOAD_BYTES,
     SUPPORTED_DOPS,
     AppKind,
     BenchmarkSpec,
+    OperatingPoint,
     build_profile,
 )
 from repro.apps.suite import (
@@ -15,7 +18,9 @@ from repro.apps.suite import (
     ProfileLibrary,
     benchmark,
 )
+from repro.chip.power import PowerModel
 from repro.chip.technology import TECHNOLOGY_ORDER, technology
+from repro.sched.edf import edf_schedule
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +159,52 @@ class TestProfile:
         p = library.get("swaptions")
         assert p.power_w(0.8, 32) > 65.0
         assert p.power_w(0.4, 32) < 65.0
+
+
+def former_point(graph, vdd, dop, performance):
+    """One operating point by the former per-call formulas: every task
+    and edge time through the model's per-call methods, and each task's
+    bytes summed by rescanning every edge."""
+    power_model = performance.power_model
+    wcet = edf_schedule(
+        graph,
+        core_count=max(1, graph.task_count),
+        task_time=lambda t: performance.task_time_s(graph, t, vdd),
+        comm_delay=lambda s, d: performance.comm_delay_s(graph, s, d, vdd),
+    ).makespan
+    cycles = wcet * power_model.frequency(vdd)
+    total_power = 0.0
+    total_flits = 0.0
+    for task in graph.tasks():
+        bytes_at_task = sum(
+            v for s, d, v in graph.edges() if s == task.task_id or d == task.task_id
+        )
+        flits = (
+            (bytes_at_task / FLIT_PAYLOAD_BYTES) * performance.default_hops / cycles
+            if cycles > 0
+            else 0.0
+        )
+        tile = power_model.tile_power(task.activity_factor, flits, vdd)
+        total_power += tile.total
+        total_flits += flits
+    return OperatingPoint(
+        vdd=vdd,
+        dop=dop,
+        wcet_s=wcet,
+        power_w=total_power,
+        avg_router_flits_per_cycle=total_flits / dop,
+    )
+
+
+def test_points_equal_former_formulas(library):
+    performance = PerformanceModel(PowerModel(technology("7nm")))
+    checked = 0
+    for name in BENCHMARKS:
+        profile = library.get(name)
+        for dop in profile.supported_dops:
+            graph = profile.graph(dop)
+            for vdd in profile.supported_vdds:
+                expected = former_point(graph, vdd, dop, performance)
+                assert profile.point(vdd, dop) == expected, (name, vdd, dop)
+                checked += 1
+    assert checked == 13 * 40

@@ -11,6 +11,7 @@ from repro.noc.routing import (
     PanrRouting,
     WestFirstRouting,
     XYRouting,
+    make_routing,
 )
 from repro.noc.topology import Direction, MeshTopology
 
@@ -234,3 +235,22 @@ class TestWeightCalls:
         model(topo, routing, iterations=4).evaluate(flows, psn_pct=psn)
         assert free and set(calls) == free
         assert len(calls) <= 4 * len(free)
+
+
+class TestSharedForcedHops:
+    def test_separate_policies_share_one_table(self):
+        mesh = MeshGeometry(10, 6)
+        a = AnalyticalNocModel(MeshTopology(mesh), make_routing("panr"))
+        b = AnalyticalNocModel(MeshTopology(mesh), make_routing("panr"))
+        assert a._forced is b._forced
+        # ICON inherits west-first's permissible, so it reads the same table.
+        icon = AnalyticalNocModel(MeshTopology(mesh), make_routing("icon"))
+        assert icon._forced is a._forced
+
+    def test_table_is_per_permissible_and_mesh(self):
+        mesh = MeshGeometry(6, 6)
+        panr = PanrRouting().forced_hops(MeshTopology(mesh))
+        assert XYRouting().forced_hops(MeshTopology(mesh)) is not panr
+        assert PanrRouting().forced_hops(MeshTopology(MeshGeometry(6, 5))) is not panr
+        fresh = PanrRouting()._build_forced_hops(MeshTopology(mesh))
+        assert np.array_equal(fresh, panr)

@@ -1,12 +1,15 @@
 """Tests for the EDF list scheduler."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.graph import ApplicationGraph, TaskNode
 from repro.pdn.waveforms import ActivityBin
-from repro.sched.edf import edf_schedule
+from repro.sched.deadlines import assign_task_deadlines
+from repro.sched.edf import EdfSchedule, ScheduledTask, edf_schedule
 
 
 def make_graph(edges, n, work=None):
@@ -120,3 +123,69 @@ class TestInvariants:
                 assert s2 >= f1 - 1e-9
         # Makespan is the max finish.
         assert sched.makespan == pytest.approx(max(t.finish for t in sched.tasks))
+
+
+def oracle_edf_schedule(graph, core_count, task_time, comm_delay):
+    """EDF with the original core choice, a min over every core keyed by
+    ``(max(core_free[c], earliest), c)``; otherwise the same loop."""
+    app_deadline = sum(task_time(t.task_id) for t in graph.tasks()) or 1.0
+    deadlines = assign_task_deadlines(graph, app_deadline, task_time)
+    pending = {t.task_id: len(graph.predecessors(t.task_id)) for t in graph.tasks()}
+    finish_time, core_of = {}, {}
+    core_free = [0.0] * core_count
+    ready = []
+    for t, n in pending.items():
+        if n == 0:
+            heapq.heappush(ready, (deadlines[t], t, 0.0))
+    scheduled = []
+    while ready:
+        deadline, task, earliest = heapq.heappop(ready)
+        core = min(range(core_count), key=lambda c: (max(core_free[c], earliest), c))
+        start = max(core_free[core], earliest)
+        finish = start + task_time(task)
+        core_free[core] = finish
+        finish_time[task] = finish
+        core_of[task] = core
+        scheduled.append(ScheduledTask(task, core, start, finish, deadline))
+        for succ in graph.successors(task):
+            pending[succ] -= 1
+            if pending[succ] == 0:
+                est = 0.0
+                for pred in graph.predecessors(succ):
+                    delay = 0.0
+                    if core_of[pred] != core_of.get(succ, -1):
+                        delay = comm_delay(pred, succ)
+                    est = max(est, finish_time[pred] + delay)
+                heapq.heappush(ready, (deadlines[succ], succ, est))
+    return EdfSchedule(
+        tasks=tuple(sorted(scheduled, key=lambda t: (t.start, t.task_id))),
+        makespan=max(t.finish for t in scheduled),
+        deadline_met=all(t.finish <= t.deadline + 1e-12 for t in scheduled),
+    )
+
+
+class TestCoreChoiceEquivalence:
+    """The core choice (lowest core free by the earliest start, else the
+    first to free up) gives exactly the original min-over-cores
+    schedule."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("fewer_cores", [True, False], ids=["fewer", "equal"])
+    def test_whole_schedule_matches_oracle(self, seed, fewer_cores):
+        rng = np.random.default_rng(seed)
+        middle = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+        widths = [1] + [int(w) for w in middle] + [1]
+        g = ApplicationGraph.layered(
+            layer_sizes=widths,
+            rng=rng,
+            work_cycles_range=(1.0, 5.0),
+            high_fraction=0.5,
+            volume_range=(1.0, 10.0),
+        )
+        n = g.task_count
+        cores = int(rng.integers(1, n)) if fewer_cores else n
+        # Integer times and delays make core-free ties common.
+        times = {t: float(rng.integers(1, 4)) for t in range(n)}
+        delays = {(u, v): float(rng.integers(0, 3)) for u, v, _ in g.edges()}
+        args = (g, cores, times.__getitem__, lambda s, d: delays[s, d])
+        assert edf_schedule(*args) == oracle_edf_schedule(*args)
