@@ -41,6 +41,11 @@ class DomainMap:
             domain = (y // 2) * self._grid_w + (x // 2)
             self._domain_of[tile] = domain
             self._tiles_of.setdefault(domain, []).append(tile)
+        coords = [self.domain_coord(d) for d in range(self.domain_count)]
+        self._distances: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
+            for ax, ay in coords
+        )
 
     @property
     def mesh(self) -> MeshGeometry:
@@ -84,11 +89,18 @@ class DomainMap:
             raise ValueError(f"domain coordinate {coord} outside grid {self.grid_shape}")
         return y * self._grid_w + x
 
+    @property
+    def distances(self) -> Tuple[Tuple[int, ...], ...]:
+        """All-pairs domain distances, built once per map:
+        ``distances[a][b] == domain_distance(a, b)``.  Mapping reads the
+        rows in its inner loops, without bounds checks."""
+        return self._distances
+
     def domain_distance(self, a: int, b: int) -> int:
         """Manhattan distance between two domains in the domain grid."""
-        ax, ay = self.domain_coord(a)
-        bx, by = self.domain_coord(b)
-        return abs(ax - bx) + abs(ay - by)
+        self.domain_coord(a)  # raises ValueError out of range
+        self.domain_coord(b)
+        return self._distances[a][b]
 
     def neighbor_domains(self, domain: int) -> List[int]:
         """Domains adjacent (distance 1) to ``domain`` in the domain grid."""

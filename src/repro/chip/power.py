@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.chip.dvfs import alpha_power_frequency
 from repro.chip.technology import TechnologyNode
@@ -63,6 +64,11 @@ class PowerModel:
 
     def __init__(self, tech: TechnologyNode):
         self._tech = tech
+        #: Per-Vdd memos of the two pure functions of ``(vdd, tech)``;
+        #: only successful calls are kept, so an invalid ``vdd`` raises
+        #: on every call.
+        self._frequency: Dict[float, float] = {}
+        self._core_leakage: Dict[float, float] = {}
 
     @property
     def tech(self) -> TechnologyNode:
@@ -70,7 +76,10 @@ class PowerModel:
 
     def frequency(self, vdd: float) -> float:
         """Clock frequency in Hz at ``vdd`` (alpha-power law)."""
-        return alpha_power_frequency(vdd, self._tech)
+        f = self._frequency.get(vdd)
+        if f is None:
+            f = self._frequency[vdd] = alpha_power_frequency(vdd, self._tech)
+        return f
 
     def core_dynamic(self, activity: float, vdd: float) -> float:
         """Core dynamic power in watts.
@@ -85,11 +94,14 @@ class PowerModel:
 
     def core_leakage(self, vdd: float) -> float:
         """Core leakage power in watts at ``vdd``."""
-        tech = self._tech
-        scale = (vdd / tech.vdd_nominal) * math.exp(
-            self._LEAK_SENSITIVITY * (vdd - tech.vdd_nominal)
-        )
-        return tech.leakage_power_core_w * scale
+        leak = self._core_leakage.get(vdd)
+        if leak is None:
+            tech = self._tech
+            scale = (vdd / tech.vdd_nominal) * math.exp(
+                self._LEAK_SENSITIVITY * (vdd - tech.vdd_nominal)
+            )
+            leak = self._core_leakage[vdd] = tech.leakage_power_core_w * scale
+        return leak
 
     def router_dynamic(self, flits_per_cycle: float, vdd: float) -> float:
         """Router dynamic power in watts.

@@ -64,7 +64,10 @@ def place_clusters(
         range(len(clusters)), key=lambda i: (-external[i], i)
     )
     available = list(free_domains)
+    for d in available:
+        domains.domain_coord(d)  # raises ValueError out of range
     chosen: Dict[int, int] = {}  # cluster index -> domain id
+    distance = domains.distances
 
     for rank, ci in enumerate(order):
         if rank == 0:
@@ -72,19 +75,14 @@ def place_clusters(
             # other free domains so later clusters have close options.
             best = min(
                 available,
-                key=lambda d: (
-                    sum(domains.domain_distance(d, o) for o in available),
-                    d,
-                ),
+                key=lambda d: (sum(distance[d][o] for o in available), d),
             )
         else:
             def cost(d: int) -> float:
+                row = distance[d]
                 return sum(
-                    domains.domain_distance(d, chosen[cj]) * volume[ci][cj]
-                    for cj in chosen
-                ) + 1e-3 * sum(
-                    domains.domain_distance(d, chosen[cj]) for cj in chosen
-                )
+                    row[chosen[cj]] * volume[ci][cj] for cj in chosen
+                ) + 1e-3 * sum(row[chosen[cj]] for cj in chosen)
 
             best = min(available, key=lambda d: (cost(d), d))
         chosen[ci] = best

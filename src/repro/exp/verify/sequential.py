@@ -15,9 +15,10 @@ loop is deterministic end to end:
   the existing :class:`~repro.harness.supervisor.CampaignSupervisor`
   machinery verbatim: content-hashed identity, checksummed atomic
   checkpoints, retry/watchdog taxonomy, process-pool fan-out.  All
-  batches share one checkpoint file (the supervisor persists its whole
-  state map), so a SIGKILL at any instant loses at most the replicas in
-  flight and a resumed invocation emits byte-identical JSON;
+  batches share one in-memory cell map of one checkpoint file (read
+  once, on resume; each commit rewrites the whole map), so a SIGKILL at
+  any instant loses at most the replicas in flight and a resumed
+  invocation emits byte-identical JSON;
 * the result serialisation carries no wall-clock data.
 
 A note on the stopping rule: stopping when a *random* interval first
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +58,9 @@ from repro.harness.supervisor import (
     CellExecutor,
     CellOutcome,
     SupervisorPolicy,
+    campaign_checkpoint,
 )
+from repro.runtime.checkpoint import CellCheckpoint
 
 #: Schema tag hashed into replica-cell keys (distinct from campaign
 #: cells so the two can never collide in a shared checkpoint).
@@ -317,6 +321,13 @@ class SequentialEstimator:
                 so the run aborts with the failure's provenance instead.
         """
         rule = self._rule
+        # One cell map serves every batch: the file is read once (on
+        # resume) and each commit encodes only its own replica.
+        checkpoint: Optional[CellCheckpoint] = None
+        if self._checkpoint_path is not None:
+            checkpoint = campaign_checkpoint(self._checkpoint_path)
+            if resume and os.path.exists(self._checkpoint_path):
+                checkpoint.load()
         values: List[float] = []
         batches = 0
         interval: Optional[Interval] = None
@@ -331,11 +342,7 @@ class SequentialEstimator:
                 ReplicaCell(self._spec_json, start + i, seeds[i])
                 for i in range(size)
             ]
-            # Later batches always resume: they share the checkpoint
-            # with every batch before them.
-            values.extend(
-                self._run_batch(cells, resume=resume or batches > 0)
-            )
+            values.extend(self._run_batch(cells, checkpoint))
             batches += 1
             interval = self._interval(values)
             if (
@@ -361,9 +368,11 @@ class SequentialEstimator:
     # ------------------------------------------------------------------
 
     def _run_batch(
-        self, cells: Sequence[ReplicaCell], resume: bool
+        self,
+        cells: Sequence[ReplicaCell],
+        checkpoint: Optional[CellCheckpoint],
     ) -> List[float]:
-        outcomes = self._execute(cells, resume)
+        outcomes = self._execute(cells, checkpoint)
         failed = [o for o in outcomes if not o.completed]
         if failed:
             first = failed[0]
@@ -406,14 +415,16 @@ class SequentialEstimator:
             )
 
     def _execute(
-        self, cells: Sequence[ReplicaCell], resume: bool
+        self,
+        cells: Sequence[ReplicaCell],
+        checkpoint: Optional[CellCheckpoint],
     ) -> Tuple[CellOutcome, ...]:
-        if self._checkpoint_path is None and self._workers == 1:
+        if checkpoint is None and self._workers == 1:
             self._prime_batch(cells)
-        if self._checkpoint_path is not None:
+        if checkpoint is not None:
             supervisor = CampaignSupervisor(
                 cells,
-                self._checkpoint_path,
+                checkpoint.path,
                 policy=self._policy,
                 cell_runner=run_replica_cell,
                 workers=self._workers,
@@ -421,7 +432,7 @@ class SequentialEstimator:
             # retry_failed: a replica that failed before the crash gets
             # a fresh budget on resume instead of poisoning the run.
             return supervisor.run(
-                resume=resume, retry_failed=True
+                retry_failed=True, checkpoint=checkpoint
             ).outcomes
         if self._workers > 1 and len(cells) > 1:
             from repro.perf.parallel import run_cells

@@ -670,7 +670,10 @@ class CampaignSupervisor:
         return summary
 
     def run(
-        self, resume: bool = False, retry_failed: bool = False
+        self,
+        resume: bool = False,
+        retry_failed: bool = False,
+        checkpoint: Optional[CellCheckpoint] = None,
     ) -> CampaignOutcome:
         """Execute (or resume) the campaign and return its outcome.
 
@@ -683,6 +686,13 @@ class CampaignSupervisor:
         simply starts fresh.  Without ``resume``, any existing
         checkpoint is overwritten.
 
+        A caller that runs several supervisors over one checkpoint file
+        passes its in-memory cell map as ``checkpoint`` (a
+        :func:`campaign_checkpoint` of this supervisor's path, loaded or
+        not as the caller decided): its records are restored as if
+        resumed, commits go to it, and ``resume`` is not consulted, so
+        the file is read at most once across all of them.
+
         Raises:
             ConfigError: when a cell spec is invalid (checked up front,
                 before any cell runs).
@@ -690,9 +700,10 @@ class CampaignSupervisor:
         """
         for cell in self._cells:
             cell.validate()
-        checkpoint = campaign_checkpoint(self._checkpoint_path)
-        if resume and os.path.exists(self._checkpoint_path):
-            checkpoint.load()
+        if checkpoint is None:
+            checkpoint = campaign_checkpoint(self._checkpoint_path)
+            if resume and os.path.exists(self._checkpoint_path):
+                checkpoint.load()
         restored: Dict[str, CellOutcome] = {}
         pending: List[SupervisedCell] = []
         for cell in self._cells:

@@ -94,7 +94,7 @@ class MeshTopology:
     #: routing policy, NoC model and engine over this topology shares
     #: them, and parmlint's shared-readonly rule flags any write outside
     #: __init__ / the lazy neighbor-code builder (see docs/lint.md).
-    __shared_readonly__ = ("_hops", "_towards", "_neighbor_codes")
+    __shared_readonly__ = ("_towards", "_neighbor_codes")
     __shared_readonly_init__ = ("neighbor_codes",)
 
     def __init__(self, mesh: MeshGeometry):
@@ -114,12 +114,9 @@ class MeshTopology:
         # per topology: routing and the analytical NoC model look these
         # up in their innermost loops, where the coordinate arithmetic
         # of MeshGeometry.manhattan dominated profiles.
-        self._hops = np.array(
-            [
-                [abs(ax - bx) + abs(ay - by) for bx, by in coords]
-                for ax, ay in coords
-            ],
-            dtype=np.int64,
+        self._hops: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
+            for ax, ay in coords
         )
         self._towards: Dict[Tuple[int, int], Tuple[Direction, ...]] = {}
         for src, (sx, sy) in enumerate(coords):
@@ -151,7 +148,7 @@ class MeshTopology:
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan (hop) distance between two tiles, via the table."""
-        return int(self._hops[src, dst])
+        return self._hops[src][dst]
 
     def direction_towards(self, src: int, dst: int) -> List[Direction]:
         """Productive (distance-reducing) directions from src to dst."""

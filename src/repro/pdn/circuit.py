@@ -79,9 +79,8 @@ def _stamp_dense(a: np.ndarray, i: Optional[int], j: Optional[int], y) -> None:
 Waveform = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 #: Bump this whenever the numerics of the transient solver change
-#: (integration stamps, guard behaviour, companion models...).  On-disk
-#: caches of solver-derived artifacts (see :mod:`repro.perf.cache`) key
-#: on it so stale fits are invalidated by a solver upgrade.
+#: (integration stamps, guard behaviour, companion models...), so that
+#: anything derived from solver output can tell a stale copy apart.
 #: v3: the per-step scatter/gather loops became precomputed sparse
 #: operators (summation order changed at double precision).
 SOLVER_VERSION = 3

@@ -1,4 +1,4 @@
-"""Performance layer: parallel execution, solve caching, benchmarks.
+"""Performance layer: parallel execution and benchmarks.
 
 Three pillars, all built so that *faster never changes the answer*:
 
@@ -7,10 +7,8 @@ Three pillars, all built so that *faster never changes the answer*:
   across workers.  Cell outcomes depend only on the cell spec and
   policy, so results merged in campaign order are byte-identical to a
   serial run.
-* :mod:`repro.perf.cache` - a content-hashed on-disk cache for
-  calibration artifacts (fitted :class:`~repro.pdn.fast.KernelLadder`
-  pairs), keyed by technology parameters, solver version and sampling
-  configuration so any input change invalidates naturally.
+* :mod:`repro.perf.pool` - the warm worker pool behind ``parallel``,
+  kept per worker count for the life of the process.
 * :mod:`repro.perf.bench` - the pinned microbenchmark suite behind
   ``python -m repro bench`` (see ``docs/performance.md``).
 
@@ -18,4 +16,4 @@ Everything in this package is opt-in: the default serial code paths do
 not import it, and it imports the rest of the code base one-way.
 """
 
-__all__ = ["bench", "cache", "parallel"]
+__all__ = ["bench", "parallel", "pool"]

@@ -55,6 +55,8 @@ class ChipState:
         self._failed: Set[int] = set(failed_tiles or ())
         for tile in self._failed:
             chip.mesh._check_tile(tile)
+        #: Memo of :meth:`free_domains`; every mutator clears it.
+        self._free_domains: Optional[List[int]] = None
 
     @property
     def chip(self) -> ChipDescription:
@@ -73,7 +75,16 @@ class ChipState:
         ]
 
     def free_domains(self) -> List[int]:
-        """Domains with all four tiles free and healthy, ascending id."""
+        """Domains with all four tiles free and healthy, ascending id.
+
+        The scan runs once per state: the answer is kept until the next
+        mutation, and each call returns a fresh copy of it.
+        """
+        if self._free_domains is None:
+            self._free_domains = self._scan_free_domains()
+        return list(self._free_domains)
+
+    def _scan_free_domains(self) -> List[int]:
         domains = self._chip.domains
         return [
             d
@@ -161,6 +172,7 @@ class ChipState:
                     f"tile {tile} is in a domain running at {current} V, "
                     f"cannot place a {vdd} V task"
                 )
+        self._free_domains = None
         for task, tile in task_to_tile.items():
             self._occupants[tile] = TileOccupant(app_id, task, vdd)
             self._domain_vdd[domains.domain_of(tile)] = vdd
@@ -197,6 +209,7 @@ class ChipState:
             raise ValueError(
                 f"tile {new_tile} is in a domain running at {current_vdd} V"
             )
+        self._free_domains = None
         del self._occupants[old_tile]
         self._occupants[new_tile] = TileOccupant(app_id, task_id, vdd)
         self._domain_vdd[new_domain] = vdd
@@ -222,6 +235,7 @@ class ChipState:
                 f"tile {tile} is occupied; recover its application "
                 "before retiring it"
             )
+        self._free_domains = None
         self._failed.add(tile)
 
     def release(self, app_id: int) -> None:
@@ -234,6 +248,7 @@ class ChipState:
             for tile, occ in self._occupants.items()
             if occ.app_id == app_id
         ]
+        self._free_domains = None
         for tile in freed:
             del self._occupants[tile]
         for d in sorted({domains.domain_of(t) for t in freed}):

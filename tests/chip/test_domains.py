@@ -66,6 +66,25 @@ class TestGridGeometry:
         assert dmap.domain_distance(0, 4) == 4
         assert dmap.domain_distance(0, 14) == 6
 
+    @pytest.mark.parametrize("w,h", [(10, 6), (4, 4), (8, 2), (2, 6), (12, 8)])
+    def test_distance_table_equals_coordinate_formula(self, w, h):
+        dmap = DomainMap(MeshGeometry(w, h))
+        table = dmap.distances
+        assert len(table) == dmap.domain_count
+        for a in range(dmap.domain_count):
+            ax, ay = dmap.domain_coord(a)
+            for b in range(dmap.domain_count):
+                bx, by = dmap.domain_coord(b)
+                expected = abs(ax - bx) + abs(ay - by)
+                assert table[a][b] == expected
+                assert dmap.domain_distance(a, b) == expected
+                assert type(table[a][b]) is int
+
+    def test_domain_distance_rejects_out_of_range(self, dmap):
+        for a, b in ((-1, 0), (0, -1), (15, 0), (0, 15)):
+            with pytest.raises(ValueError, match="outside"):
+                dmap.domain_distance(a, b)
+
     def test_neighbor_domains(self, dmap):
         assert sorted(dmap.neighbor_domains(0)) == [1, 5]
         # Interior domain in 5x3 grid: id 6 at (1, 1).

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import math
+
+from repro.chip.dvfs import VddLadder, alpha_power_frequency
 from repro.chip.power import PowerModel
 from repro.chip.technology import technology
 
@@ -43,6 +46,40 @@ class TestCorePower:
         assert model.core_leakage(tech.vdd_nominal) == pytest.approx(
             tech.leakage_power_core_w
         )
+
+
+class TestPerVddMemo:
+    """frequency/core_leakage keep one value per Vdd, bit-equal to the
+    formulas, and never cache a failure."""
+
+    VDDS = VddLadder.paper_default().levels + (0.45, 0.55, 0.73, 0.95)
+
+    @staticmethod
+    def leakage(tech, vdd):
+        scale = (vdd / tech.vdd_nominal) * math.exp(
+            PowerModel._LEAK_SENSITIVITY * (vdd - tech.vdd_nominal)
+        )
+        return tech.leakage_power_core_w * scale
+
+    def test_bit_equal_to_the_formulas(self, model):
+        tech = model.tech
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            for vdd in self.VDDS:
+                assert model.frequency(vdd).hex() == alpha_power_frequency(
+                    vdd, tech
+                ).hex()
+                assert model.core_leakage(vdd).hex() == self.leakage(
+                    tech, vdd
+                ).hex()
+
+    def test_below_threshold_raises_on_every_call(self, model):
+        vth = model.tech.vth
+        for vdd in (vth, vth - 0.05):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="threshold"):
+                    model.frequency(vdd)
+                with pytest.raises(ValueError, match="threshold"):
+                    model.core_dynamic(0.5, vdd)
 
 
 class TestRouterPower:

@@ -184,6 +184,49 @@ class TestCheckpointResume:
         resumed = self._run(partial_cp, resume=True)
         assert resumed.json_str() == reference.json_str()
 
+    def test_batches_share_one_cell_map(self, tmp_path, monkeypatch):
+        """The checkpoint is read once on resume, never on a fresh run,
+        and after every batch the file holds every replica so far."""
+        from repro.exp.verify import sequential
+        from repro.harness.supervisor import (
+            CAMPAIGN_SCHEMA,
+            CAMPAIGN_VERSION,
+        )
+        from repro.runtime import checkpoint
+
+        loads = []
+        real_load = checkpoint.load_payload
+        monkeypatch.setattr(
+            checkpoint,
+            "load_payload",
+            lambda *a: loads.append(a) or real_load(*a),
+        )
+        cp = tmp_path / "cp.json"
+        seen = {}
+        real_batch = sequential.SequentialEstimator._run_batch
+
+        def run_batch(self, cells, cell_map):
+            values = real_batch(self, cells, cell_map)
+            seen.update(
+                (cell.key, {"status": "completed"}) for cell in cells
+            )
+            payload = json.loads(cp.read_text())["payload"]["cells"]
+            assert sorted(payload) == sorted(seen)
+            assert cp.read_text() == checkpoint.dump_payload(
+                {"cells": payload}, CAMPAIGN_SCHEMA, CAMPAIGN_VERSION
+            )
+            return values
+
+        monkeypatch.setattr(
+            sequential.SequentialEstimator, "_run_batch", run_batch
+        )
+        fresh = self._run(str(cp))
+        assert fresh.batches > 1
+        assert loads == []
+        resumed = self._run(str(cp), resume=True)
+        assert len(loads) == 1
+        assert resumed.json_str() == fresh.json_str()
+
     def test_rerun_same_checkpoint_without_resume_matches(self, tmp_path):
         cp = str(tmp_path / "cp.json")
         first = self._run(cp)

@@ -42,6 +42,19 @@ class TestTopology:
         assert set(topo.out_directions(0)) == {Direction.EAST, Direction.SOUTH}
         assert set(topo.out_directions(5)) == set(MESH_DIRECTIONS)
 
+    @pytest.mark.parametrize("w,h", [(4, 3), (10, 6), (1, 5)])
+    def test_hops_equal_manhattan_distance(self, w, h):
+        mesh = MeshGeometry(w, h)
+        topo = MeshTopology(mesh)
+        for a in mesh.tiles():
+            ax, ay = mesh.coord_of(a)
+            for b in mesh.tiles():
+                bx, by = mesh.coord_of(b)
+                hops = topo.hops(a, b)
+                assert type(hops) is int
+                assert hops == abs(ax - bx) + abs(ay - by)
+                assert hops == mesh.manhattan(a, b)
+
     def test_direction_towards(self, topo):
         assert topo.direction_towards(0, 6) == [Direction.EAST, Direction.SOUTH]
         assert topo.direction_towards(6, 0) == [Direction.WEST, Direction.NORTH]
