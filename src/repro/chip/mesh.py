@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 Coordinate = Tuple[int, int]
 
@@ -63,6 +63,20 @@ class MeshGeometry:
         ax, ay = self.coord_of(a)
         bx, by = self.coord_of(b)
         return abs(ax - bx) + abs(ay - by)
+
+    def pair_hop_sum(self, tiles: Sequence[int]) -> int:
+        """:meth:`manhattan` summed over every unordered pair of ``tiles``.
+
+        Each axis adds ``sum |a - b|`` over the pairs, which the sorted
+        coordinates give in O(n log n): the k-th smallest of n values is
+        added k times and subtracted n - 1 - k times.
+        """
+        total = 0
+        for axis in zip(*(self.coord_of(tile) for tile in tiles)):
+            last = len(axis) - 1
+            for k, value in enumerate(sorted(axis)):
+                total += value * (2 * k - last)
+        return total
 
     def hop_table(self) -> HopTable:
         """Every pair's :meth:`manhattan` distance, built once per mesh

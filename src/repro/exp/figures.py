@@ -26,7 +26,7 @@ from repro.exp.frameworks import FRAMEWORKS, Framework
 from repro.exp.runner import FrameworkResult, run_framework
 from repro.apps.suite import ProfileLibrary
 from repro.chip.cmp import ChipDescription, default_chip
-from repro.pdn.transient import PsnTransientAnalysis
+from repro.pdn.transient import PsnTransientAnalysis, pair_loads
 from repro.pdn.waveforms import ActivityBin, TileLoad
 
 #: Deadline slack used by the Fig. 6/7 runs: loose enough that no
@@ -117,22 +117,31 @@ def fig3a(
 ) -> List[Fig3aRow]:
     """Peak PSN in a fully occupied domain vs supply voltage."""
     tech = technology("7nm")
-    power = PowerModel(tech)
     analysis = PsnTransientAnalysis(tech, window_s=window_s, dt_s=dt_s)
-    rows = []
+    kinds, requests = fig3a_requests(PowerModel(tech), vdds)
+    reports = analysis.analyze_many(requests)
+    return [
+        Fig3aRow(kind, vdd, report.domain_peak_pct, report.domain_avg_pct)
+        for kind, (vdd, _), report in zip(kinds, requests, reports)
+    ]
+
+
+def fig3a_requests(
+    power: PowerModel, vdds: Sequence[float]
+) -> Tuple[List[str], List[Tuple[float, List[TileLoad]]]]:
+    """Fig. 3a's workload kind and ``(vdd, loads)`` request per row."""
+    kinds: List[str] = []
+    requests: List[Tuple[float, List[TileLoad]]] = []
     for kind, flits in (("compute", 0.3), ("communication", 2.5)):
         for vdd in vdds:
-            loads = [
+            kinds.append(kind)
+            requests.append((vdd, [
                 _fig_load(power, vdd, 0.70, ActivityBin.HIGH, flits),
                 _fig_load(power, vdd, 0.65, ActivityBin.HIGH, flits),
                 _fig_load(power, vdd, 0.20, ActivityBin.LOW, flits),
                 _fig_load(power, vdd, 0.25, ActivityBin.LOW, flits),
-            ]
-            report = analysis.analyze(vdd, loads)
-            rows.append(
-                Fig3aRow(kind, vdd, report.domain_peak_pct, report.domain_avg_pct)
-            )
-    return rows
+            ]))
+    return kinds, requests
 
 
 def print_fig3a(rows: Optional[List[Fig3aRow]] = None) -> None:
@@ -180,28 +189,38 @@ def fig3b(
     low_a = _fig_load(power, vdd, 0.25, ActivityBin.LOW, 0.5)
     low_b = _fig_load(power, vdd, 0.20, ActivityBin.LOW, 0.5)
 
-    def solo_peak(load: TileLoad, position: int) -> float:
+    def solo(load: TileLoad, position: int) -> List[TileLoad]:
         loads = [TileLoad.idle()] * 4
         loads[position] = load
-        return float(analysis.analyze(vdd, loads).peak_psn_pct[position])
-
-    def interference(load_a: TileLoad, load_b: TileLoad, hops: int) -> float:
-        pos_b = 1 if hops == 1 else 3
-        report = analysis.pair_analysis(vdd, load_a, load_b, hops)
-        return max(
-            float(report.peak_psn_pct[0]) - solo_peak(load_a, 0),
-            float(report.peak_psn_pct[pos_b]) - solo_peak(load_b, pos_b),
-        )
+        return loads
 
     pairs = {
         "H-H": (high_a, high_b),
         "H-L": (high_a, low_a),
         "L-L": (low_a, low_b),
     }
-    raw: Dict[Tuple[str, int], float] = {}
+    # Per (pair, hops): the pair, then each task alone at its position.
+    keys: List[Tuple[str, int, int]] = []
+    requests: List[Tuple[float, List[TileLoad]]] = []
     for name, (a, b) in pairs.items():
         for hops in (1, 2):
-            raw[(name, hops)] = interference(a, b, hops)
+            pos_b = 1 if hops == 1 else 3
+            keys.append((name, hops, pos_b))
+            requests += [
+                (vdd, pair_loads(a, b, hops)),
+                (vdd, solo(a, 0)),
+                (vdd, solo(b, pos_b)),
+            ]
+    reports = analysis.analyze_many(requests)
+    # The interference is the worse of the two tiles' peak increase
+    # over the task running alone.
+    raw: Dict[Tuple[str, int], float] = {}
+    for k, (name, hops, pos_b) in enumerate(keys):
+        pair, solo_a, solo_b = reports[3 * k:3 * k + 3]
+        raw[(name, hops)] = max(
+            float(pair.peak_psn_pct[0]) - float(solo_a.peak_psn_pct[0]),
+            float(pair.peak_psn_pct[pos_b]) - float(solo_b.peak_psn_pct[pos_b]),
+        )
     norm = raw[("H-L", 1)]
     return [
         Fig3bRow(name, hops, value, value / norm if norm else 0.0)

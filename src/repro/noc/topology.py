@@ -110,14 +110,9 @@ class MeshTopology:
                 if mesh.contains(coord):
                     table[d] = mesh.tile_at(coord)
             self._neighbors[tile] = table
-        # Hop-distance and productive-direction tables, precomputed once
-        # per topology: routing and the analytical NoC model look these
-        # up in their innermost loops, where the coordinate arithmetic
-        # of MeshGeometry.manhattan dominated profiles.
-        self._hops: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(abs(ax - bx) + abs(ay - by) for bx, by in coords)
-            for ax, ay in coords
-        )
+        # Productive-direction table, precomputed once per topology:
+        # routing looks it up in its innermost loops, where the
+        # coordinate arithmetic dominated profiles.
         self._towards: Dict[Tuple[int, int], Tuple[Direction, ...]] = {}
         for src, (sx, sy) in enumerate(coords):
             for dst, (dx_, dy_) in enumerate(coords):
@@ -145,10 +140,6 @@ class MeshTopology:
     def out_directions(self, tile: int) -> List[Direction]:
         """Mesh directions with a neighbour (2-4 of them)."""
         return list(self._neighbors[tile])
-
-    def hops(self, src: int, dst: int) -> int:
-        """Manhattan (hop) distance between two tiles, via the table."""
-        return self._hops[src][dst]
 
     def direction_towards(self, src: int, dst: int) -> List[Direction]:
         """Productive (distance-reducing) directions from src to dst."""

@@ -10,7 +10,7 @@ model's error on exactly the configurations a manager produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -102,12 +102,14 @@ def audit_mapping(
         for t in chip.mesh.tiles()
         if router_rates[t] > 0
     } - domains
+    domain_tiles = []
+    requests = []
     for domain in sorted(domains | traffic_domains):
         domain_vdd = (
             vdd if domain in domains else chip.vdd_ladder.lowest
         )
         tiles = chip.domains.tiles_of(domain)
-        loads = []
+        loads: List[TileLoad] = []
         for tile in tiles:
             rate = float(router_rates[tile])
             router_power = (
@@ -129,7 +131,14 @@ def audit_mapping(
             loads.append(
                 TileLoad(core_power, router_power, task.activity_bin)
             )
-        report = analysis.analyze(domain_vdd, loads)
+        domain_tiles.append(tiles)
+        requests.append((domain_vdd, loads))
+
+    # The decision's domains share one PDN plan: one batch of lanes.
+    reports = analysis.analyze_many(requests)
+    for tiles, (domain_vdd, loads), report in zip(
+        domain_tiles, requests, reports
+    ):
         fast_estimate, _ = fast.domain_psn(domain_vdd, loads)
         for i, tile in enumerate(tiles):
             peak[tile] = report.peak_psn_pct[i]

@@ -102,39 +102,23 @@ def generate_samples(
     rng = np.random.default_rng(seed)
     power_model = PowerModel(tech)
     analysis = PsnTransientAnalysis(tech, window_s=window_s, dt_s=dt_s)
-    samples: List[CalibrationSample] = []
-
-    def run(vdd: float, loads: Sequence[Optional[TileLoad]]) -> None:
-        filled = [l if l is not None else TileLoad.idle() for l in loads]
-        report = analysis.analyze(vdd, filled)
-        freq_ratio = (
-            alpha_power_frequency(vdd, tech) / tech.freq_at_nominal_hz
-        )
-        samples.append(
-            CalibrationSample(
-                vdd=vdd,
-                freq_ratio=freq_ratio,
-                loads=tuple(loads),
-                peak_psn_pct=report.peak_psn_pct,
-                avg_psn_pct=report.avg_psn_pct,
-            )
-        )
-
+    # The corpus is drawn first (the rng order is the corpus), then
+    # solved as one batch of lanes.
+    corpus: List[Tuple[float, Tuple[Optional[TileLoad], ...]]] = []
     for vdd in vdds:
         # Single occupied tile, each bin, with and without router traffic.
         for bin_ in ActivityBin:
             for share in (0.0, 1.0):
                 loads: List[Optional[TileLoad]] = [None] * 4
                 loads[0] = _load(power_model, vdd, bin_, rng, share)
-                run(vdd, loads)
+                corpus.append((vdd, tuple(loads)))
         # Full same-bin domains - the configurations PARM's clustering
         # actually produces (underrepresenting them biases the fit).
         for bin_ in ActivityBin:
             for _rep in range(2):
-                run(
-                    vdd,
-                    [_load(power_model, vdd, bin_, rng, 0.3) for _ in range(4)],
-                )
+                corpus.append((vdd, tuple(
+                    _load(power_model, vdd, bin_, rng, 0.3) for _ in range(4)
+                )))
         # Pairs at 1 hop (positions 0,1) and 2 hops (positions 0,3),
         # all bin combinations.
         for bin_a, bin_b in itertools.product(ActivityBin, repeat=2):
@@ -142,7 +126,7 @@ def generate_samples(
                 loads = [None] * 4
                 loads[positions[0]] = _load(power_model, vdd, bin_a, rng, 0.4)
                 loads[positions[1]] = _load(power_model, vdd, bin_b, rng, 0.4)
-                run(vdd, loads)
+                corpus.append((vdd, tuple(loads)))
         # Random full/partial domains.
         for _ in range(n_random):
             loads = []
@@ -152,8 +136,22 @@ def generate_samples(
                 else:
                     bin_ = ActivityBin.HIGH if rng.uniform() < 0.5 else ActivityBin.LOW
                     loads.append(_load(power_model, vdd, bin_, rng, rng.uniform(0, 1)))
-            run(vdd, loads)
-    return samples
+            corpus.append((vdd, tuple(loads)))
+
+    reports = analysis.analyze_many([
+        (vdd, [l if l is not None else TileLoad.idle() for l in loads])
+        for vdd, loads in corpus
+    ])
+    return [
+        CalibrationSample(
+            vdd=vdd,
+            freq_ratio=alpha_power_frequency(vdd, tech) / tech.freq_at_nominal_hz,
+            loads=loads,
+            peak_psn_pct=report.peak_psn_pct,
+            avg_psn_pct=report.avg_psn_pct,
+        )
+        for (vdd, loads), report in zip(corpus, reports)
+    ]
 
 
 def _design_row(

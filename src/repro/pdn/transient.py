@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -207,8 +207,50 @@ class DomainPsnReport:
         return float(np.mean(self.avg_psn_pct))
 
 
+@dataclass(eq=False)
+class _Lane:
+    """One analysis of a :class:`PsnTransientAnalysis` batch.
+
+    ``outcome`` is ``None`` until the lane is solved, then the lane's
+    report or the error its first rung raised.
+    """
+
+    vdd: float
+    loads: Sequence[TileLoad]
+    currents: List[CurrentWaveform]
+    outcome: Union[None, DomainPsnReport, SolverError] = None
+
+
+def pair_loads(load_a: TileLoad, load_b: TileLoad, hops: int) -> List[TileLoad]:
+    """Domain loads of a two-task placement at 1 or 2 hops (Fig. 3b).
+
+    Tiles 0 and 1 of the 2x2 block are one hop apart (direct grid
+    segment); tiles 0 and 3 are diagonal, i.e. two hops.  The other
+    tiles are idle.
+    """
+    if hops == 1:
+        positions = (0, 1)
+    elif hops == 2:
+        positions = (0, 3)
+    else:
+        raise ValueError("hops must be 1 or 2 within a 2x2 domain")
+    loads = [TileLoad.idle() for _ in TILE_NODES]
+    loads[positions[0]] = load_a
+    loads[positions[1]] = load_b
+    return loads
+
+
 class PsnTransientAnalysis:
     """Transient PSN analyser for 2x2 power domains.
+
+    Every analysis of one analyser shares its domain circuit and so its
+    factorisation plan.  The analyses of one :meth:`analyze_many` call
+    are solved as lanes of one batched recurrence
+    (:meth:`Circuit.transient_lanes`) the first time :meth:`analyze`
+    needs one of them; each report is bit-identical to the one a lone
+    :meth:`analyze` call returns.  A batch holds about one window of
+    four source-current traces per lane, plus one lane's assembled
+    tile voltages while that lane is reduced into its report.
 
     Args:
         tech: Technology node (PDN parasitics).
@@ -237,10 +279,33 @@ class PsnTransientAnalysis:
         # override sources per solve, so the sparse factorisation is
         # shared across every (vdd, workload) this analyser sees.
         self._circuit: Optional[Circuit] = None
+        # Announced lanes not yet claimed by an analyze call, in order.
+        self._announced: List[_Lane] = []
 
     @property
     def tech(self) -> TechnologyNode:
         return self._tech
+
+    def analyze_many(
+        self, requests: Sequence[Tuple[float, Sequence[TileLoad]]]
+    ) -> List[DomainPsnReport]:
+        """Analyse several domains as lanes of one batch.
+
+        Equivalent to ``[self.analyze(vdd, loads) for vdd, loads in
+        requests]``, which is what it runs after announcing every
+        request: the first call solves all of them at once.  Duplicate
+        requests stay separate lanes.  If a lane fails, its own call
+        raises and the lanes still announced are withdrawn.
+        """
+        requests = list(requests)
+        lanes = self._announce(requests)
+        try:
+            return [self.analyze(vdd, loads) for vdd, loads in requests]
+        finally:
+            mine = {id(lane) for lane in lanes}
+            self._announced = [
+                lane for lane in self._announced if id(lane) not in mine
+            ]
 
     def analyze(
         self,
@@ -250,6 +315,11 @@ class PsnTransientAnalysis:
     ) -> DomainPsnReport:
         """Simulate one domain and report per-tile PSN.
 
+        A call that :meth:`analyze_many` announced takes its lane's
+        result, solving the announced batch if it is not solved yet;
+        any other call is a batch of one.  Either way this call is
+        where the analysis's report is returned or its error raised.
+
         Args:
             vdd: Domain supply voltage.
             loads: Exactly four tile workloads (use
@@ -258,63 +328,112 @@ class PsnTransientAnalysis:
                 canonical :func:`apply_phase_convention` (same-bin threads
                 nearly aligned, cross-bin threads free-running).  Pass
                 false to control phases explicitly through the loads.
+
+        Raises:
+            SolverInputError: on a non-finite tile current.
+            SolverError: when every rung of :func:`guarded_transient`'s
+                ladder fails.
         """
+        lane = self._claim(vdd, loads) if apply_convention else None
+        if lane is None:
+            lane = self._lane(vdd, loads, apply_convention)
+        if lane.outcome is None:
+            self._solve(
+                [lane] + [other for other in self._announced if other.outcome is None]
+            )
+        outcome = lane.outcome
+        if isinstance(outcome, DomainPsnReport):
+            return outcome
+        if isinstance(outcome, SolverInputError):
+            raise outcome
+        # The first rung failed in the batch: run the fallback ladder
+        # for this lane alone.
+        result, method, dt_s = guarded_transient(
+            self._domain_circuit(),
+            self._window_s,
+            self._dt_s,
+            isource_waveforms=lane.currents,
+            vsource_values=(lane.vdd,),
+        )
+        return _report(lane.vdd, result, method, dt_s)
+
+    def _announce(
+        self, requests: Sequence[Tuple[float, Sequence[TileLoad]]]
+    ) -> List[_Lane]:
+        """Queue ``(vdd, loads)`` analyses for the next batch.
+
+        A later :meth:`analyze` call with the same argument objects (and
+        the default phase convention) claims its lane; the first claim
+        of an unsolved lane solves every unsolved announced lane at once.
+        Requests are validated here, so an invalid one raises before
+        anything is solved.
+        """
+        lanes = [self._lane(vdd, loads, True) for vdd, loads in requests]
+        self._announced.extend(lanes)
+        return lanes
+
+    def _lane(
+        self, vdd: float, loads: Sequence[TileLoad], apply_convention: bool
+    ) -> _Lane:
+        """Validate one request and build its tile current waveforms."""
         if len(loads) != len(TILE_NODES):
             raise ValueError(f"expected {len(TILE_NODES)} tile loads")
+        phased = loads
         if apply_convention:
-            loads = apply_phase_convention(
+            phased = apply_phase_convention(
                 loads, burst_scale=clock_burst_scale(vdd, self._tech)
             )
         if vdd <= 0:
             raise ValueError(f"vdd must be positive, got {vdd}")
-        currents = [CurrentWaveform(load, vdd) for load in loads]
+        return _Lane(vdd, loads, [CurrentWaveform(load, vdd) for load in phased])
+
+    def _claim(self, vdd: float, loads: Sequence[TileLoad]) -> Optional[_Lane]:
+        """Take the first announced lane of these very arguments, if any
+        (:meth:`analyze_many` passes each request's own objects)."""
+        for index, lane in enumerate(self._announced):
+            if lane.vdd is vdd and lane.loads is loads:
+                return self._announced.pop(index)
+        return None
+
+    def _domain_circuit(self) -> Circuit:
         if self._circuit is None:
             self._circuit = self._builder.build(1.0, [0.0] * len(TILE_NODES))
-        result, method, dt_s = guarded_transient(
-            self._circuit,
+        return self._circuit
+
+    def _solve(self, lanes: Sequence[_Lane]) -> None:
+        """Run the first rung for ``lanes`` as one batch and reduce each
+        solved lane straight into its report."""
+        outcomes = self._domain_circuit().transient_lanes(
             self._window_s,
             self._dt_s,
-            isource_waveforms=currents,
-            vsource_values=(vdd,),
+            [(lane.currents, (lane.vdd,)) for lane in lanes],
+            nodes=TILE_NODES,
+            reduce=lambda j, result: _report(
+                lanes[j].vdd, result, "trapezoidal", self._dt_s
+            ),
         )
+        for lane, outcome in zip(lanes, outcomes):
+            lane.outcome = outcome
 
-        peaks = np.empty(len(TILE_NODES))
-        avgs = np.empty(len(TILE_NODES))
-        for i, node in enumerate(TILE_NODES):
-            v = result.voltage(node)
-            psn_pct = (vdd - v) / vdd * 100.0
-            # Droop (undershoot) is the reliability hazard; overshoot is
-            # clipped as in the paper's percent-noise plots.
-            psn_pct = np.clip(psn_pct, 0.0, None)
-            peaks[i] = float(np.max(psn_pct))
-            avgs[i] = float(np.mean(psn_pct))
-        return DomainPsnReport(
-            vdd=vdd,
-            peak_psn_pct=peaks,
-            avg_psn_pct=avgs,
-            solver_method=method,
-            solver_dt_s=dt_s,
-        )
 
-    def pair_analysis(
-        self,
-        vdd: float,
-        load_a: TileLoad,
-        load_b: TileLoad,
-        hops: int,
-    ) -> DomainPsnReport:
-        """Analyse a two-task placement at 1 or 2 hops (Fig. 3b setup).
-
-        Tiles 0 and 1 of the 2x2 block are one hop apart (direct grid
-        segment); tiles 0 and 3 are diagonal, i.e. two hops.
-        """
-        if hops == 1:
-            positions = (0, 1)
-        elif hops == 2:
-            positions = (0, 3)
-        else:
-            raise ValueError("hops must be 1 or 2 within a 2x2 domain")
-        loads = [TileLoad.idle() for _ in TILE_NODES]
-        loads[positions[0]] = load_a
-        loads[positions[1]] = load_b
-        return self.analyze(vdd, loads)
+def _report(
+    vdd: float, result: TransientResult, method: str, dt_s: float
+) -> DomainPsnReport:
+    """Per-tile peak and average PSN of one solved domain."""
+    peaks = np.empty(len(TILE_NODES))
+    avgs = np.empty(len(TILE_NODES))
+    for i, node in enumerate(TILE_NODES):
+        v = result.voltage(node)
+        psn_pct = (vdd - v) / vdd * 100.0
+        # Droop (undershoot) is the reliability hazard; overshoot is
+        # clipped as in the paper's percent-noise plots.
+        psn_pct = np.clip(psn_pct, 0.0, None)
+        peaks[i] = float(np.max(psn_pct))
+        avgs[i] = float(np.mean(psn_pct))
+    return DomainPsnReport(
+        vdd=vdd,
+        peak_psn_pct=peaks,
+        avg_psn_pct=avgs,
+        solver_method=method,
+        solver_dt_s=dt_s,
+    )

@@ -9,6 +9,10 @@ against a committed baseline (see ``docs/performance.md``):
   PSN kernel, scalar loop vs the vectorised batch path;
 * ``transient_solve_cold`` / ``transient_solve_warm`` - one MNA
   transient solve with a fresh factorisation vs the cached plan;
+* ``transient_lanes_loop`` / ``transient_lanes_batched`` - Fig. 3a's
+  ten analyses on a warm plan, as ten one-lane solves vs one
+  ``analyze_many`` batch of lanes (every report is asserted
+  bit-identical before timing);
 * ``pool_warmup`` / ``pool_reuse`` - first lease of the persistent
   worker pool (spawn + worker imports) vs a later lease of the
   already-warm pool (``repro.perf.pool``);
@@ -181,6 +185,55 @@ def bench_transient(quick: bool) -> Dict[str, Dict[str, Any]]:
         "transient_solve_warm": {
             "seconds": _time_best(warm, repeats),
             "meta": meta,
+        },
+        **_bench_transient_lanes(quick),
+    }
+
+
+def _bench_transient_lanes(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """Fig. 3a's ten analyses as ten one-lane solves vs one batch."""
+    from repro.chip.power import PowerModel
+    from repro.chip.technology import technology
+    from repro.exp.figures import fig3a_requests
+    from repro.pdn.transient import PsnTransientAnalysis
+
+    tech = technology("7nm")
+    vdds = (0.4, 0.5, 0.6, 0.7, 0.8)
+    _, requests = fig3a_requests(PowerModel(tech), vdds)
+    window_s = 50e-9 if quick else 300e-9
+    repeats = 3 if quick else 5
+    analysis = PsnTransientAnalysis(tech, window_s=window_s)
+    analysis.analyze(*requests[0])  # prime the factorisation plan
+
+    def loop() -> List[Any]:
+        return [analysis.analyze(vdd, loads) for vdd, loads in requests]
+
+    def batched() -> List[Any]:
+        return analysis.analyze_many(requests)
+
+    # Identity before timing: every lane's report must carry the same
+    # bits as its one-lane solve.
+    for lane, (single, report) in enumerate(zip(loop(), batched())):
+        if (
+            single.peak_psn_pct.tobytes() != report.peak_psn_pct.tobytes()
+            or single.avg_psn_pct.tobytes() != report.avg_psn_pct.tobytes()
+            or (single.solver_method, single.solver_dt_s)
+            != (report.solver_method, report.solver_dt_s)
+        ):
+            raise RuntimeError(
+                f"lane-batched transient diverged from its one-lane "
+                f"solve on fig3a request {lane}"
+            )
+
+    meta = {"window_s": window_s, "lanes": len(requests), "vdds": list(vdds)}
+    return {
+        "transient_lanes_loop": {
+            "seconds": _time_best(loop, repeats),
+            "meta": {**meta, "note": "one analyze call per request"},
+        },
+        "transient_lanes_batched": {
+            "seconds": _time_best(batched, repeats),
+            "meta": {**meta, "note": "one analyze_many batch"},
         },
     }
 
@@ -715,6 +768,11 @@ def run_suite(
     pairs = (
         ("kernel_batch_speedup", "kernel_eval_scalar", "kernel_eval_batch"),
         ("transient_warm_speedup", "transient_solve_cold", "transient_solve_warm"),
+        (
+            "transient_lanes_speedup",
+            "transient_lanes_loop",
+            "transient_lanes_batched",
+        ),
         ("e2e_parallel_speedup", "e2e_sweep_serial", "e2e_sweep_parallel"),
         ("pool_reuse_speedup", "pool_warmup", "pool_reuse"),
         (
@@ -755,7 +813,7 @@ PARALLEL_SPEEDUP_GATES = (
 #: Derived speedups that must exceed 1.0x in full mode regardless of
 #: core count: batching wins by cutting python dispatch overhead inside
 #: one process, so a single-core host has no excuse.
-BATCH_SPEEDUP_GATES = ("noc_engine_batch_speedup",)
+BATCH_SPEEDUP_GATES = ("noc_engine_batch_speedup", "transient_lanes_speedup")
 
 
 def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
@@ -777,7 +835,7 @@ def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:
         if value is not None and value <= 1.0:
             failures.append(
                 f"{name}: {value:.2f}x <= 1.00x "
-                "(the batched engine must beat a loop of one-lane engines)"
+                "(a batch must beat a loop of one-lane runs)"
             )
     if (os.cpu_count() or 1) < 2:
         return failures

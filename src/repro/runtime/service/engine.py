@@ -749,12 +749,8 @@ class ServiceEngine:
         profile = self._library.get(profile_name)
         tiles = list(decision.task_to_tile.values())
         if len(tiles) > 1:
-            hops = [
-                self._topology.hops(a, b)
-                for i, a in enumerate(tiles)
-                for b in tiles[i + 1 :]
-            ]
-            avg_hops = max(1.0, sum(hops) / len(hops))
+            pairs = len(tiles) * (len(tiles) - 1) // 2
+            avg_hops = max(1.0, self._topology.mesh.pair_hop_sum(tiles) / pairs)
         else:
             avg_hops = 1.0
         occupied_fraction = (

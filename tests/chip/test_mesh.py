@@ -105,3 +105,33 @@ class TestProperties:
         tile = data.draw(st.integers(0, mesh.tile_count - 1))
         for n in mesh.neighbors(tile):
             assert mesh.manhattan(tile, n) == 1
+
+
+class TestPairHopSum:
+    """``pair_hop_sum`` against the brute-force sum over all pairs."""
+
+    @staticmethod
+    def brute(mesh, tiles):
+        return sum(
+            mesh.manhattan(a, b)
+            for i, a in enumerate(tiles)
+            for b in tiles[i + 1:]
+        )
+
+    def test_small_cases(self, mesh):
+        assert mesh.pair_hop_sum([]) == 0
+        assert mesh.pair_hop_sum([17]) == 0
+        assert mesh.pair_hop_sum([0, 59]) == 14
+        assert mesh.pair_hop_sum([3, 3]) == 0
+
+    @given(
+        w=st.integers(1, 12),
+        h=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_matches_pairwise_sum(self, w, h, data):
+        mesh = MeshGeometry(w, h)
+        tiles = data.draw(
+            st.lists(st.integers(0, mesh.tile_count - 1), max_size=40)
+        )
+        assert mesh.pair_hop_sum(tiles) == self.brute(mesh, tiles)

@@ -14,6 +14,7 @@ from repro.pdn.transient import (
     SAME_BIN_JITTER_S,
     PsnTransientAnalysis,
     apply_phase_convention,
+    pair_loads,
 )
 from repro.pdn.waveforms import ActivityBin, TileLoad
 
@@ -151,7 +152,7 @@ class TestPairInterference:
 
         def interference(load_a, load_b, hops):
             pos_b = 1 if hops == 1 else 3
-            report = analysis.pair_analysis(vdd, load_a, load_b, hops)
+            report = analysis.analyze(vdd, pair_loads(load_a, load_b, hops))
             return max(
                 report.peak_psn_pct[0] - solo(load_a, 0),
                 report.peak_psn_pct[pos_b] - solo(load_b, pos_b),
@@ -178,10 +179,10 @@ class TestPairInterference:
         ratio = bars[("HL", 2)] / bars[("HL", 1)]
         assert 0.75 < ratio < 0.97
 
-    def test_invalid_hops_rejected(self, analysis, power):
+    def test_invalid_hops_rejected(self, power):
         load = make_load(power, 0.5, 0.5, ActivityBin.HIGH)
         with pytest.raises(ValueError, match="hops"):
-            analysis.pair_analysis(0.5, load, load, 3)
+            pair_loads(load, load, 3)
 
 
 class TestPlanReuse:

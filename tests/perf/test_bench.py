@@ -52,6 +52,20 @@ class TestPinnedWorkloads:
         for entry in result.values():
             assert entry["seconds"] > 0
 
+    def test_transient_bench_smoke(self):
+        result = bench.bench_transient(quick=True)
+        assert set(result) == {
+            "transient_solve_cold",
+            "transient_solve_warm",
+            "transient_lanes_loop",
+            "transient_lanes_batched",
+        }
+        for entry in result.values():
+            assert entry["seconds"] > 0
+        # The lanes benchmark checks every lane's report against its
+        # one-lane solve before timing.
+        assert result["transient_lanes_batched"]["meta"]["lanes"] == 10
+
     def test_noc_engine_bench_smoke(self):
         result = bench.bench_noc_engine(quick=True)
         assert set(result) == {
