@@ -9,7 +9,7 @@ edges sorted by decreasing volume (Algorithm 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -145,10 +145,6 @@ class ApplicationGraph:
     def task_count(self) -> int:
         return len(self._tasks)
 
-    @property
-    def edge_count(self) -> int:
-        return self._g.number_of_edges()
-
     def task(self, task_id: int) -> TaskNode:
         try:
             return self._tasks[task_id]
@@ -199,65 +195,9 @@ class ApplicationGraph:
     def high_tasks(self) -> List[int]:
         return [t.task_id for t in self.tasks() if t.activity_bin.is_high]
 
-    def low_tasks(self) -> List[int]:
-        return [t.task_id for t in self.tasks() if not t.activity_bin.is_high]
-
-    def to_dot(self, name: str = "apg") -> str:
-        """Graphviz DOT representation (debugging / documentation).
-
-        High-activity tasks render as doubled circles; edge labels are
-        volumes in MB.
-        """
-        lines = [f'digraph {name} {{', "  rankdir=LR;"]
-        for task in self.tasks():
-            shape = "doublecircle" if task.activity_bin.is_high else "circle"
-            lines.append(
-                f'  t{task.task_id} [shape={shape}, '
-                f'label="T{task.task_id}"];'
-            )
-        for src, dst, volume in self.edges():
-            lines.append(
-                f'  t{src} -> t{dst} [label="{volume / 1e6:.1f}MB"];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------
     # Generators
     # ------------------------------------------------------------------
-
-    @classmethod
-    def fork_join(
-        cls,
-        task_count: int,
-        work_cycles: Iterable[float],
-        activity_bins: Iterable[ActivityBin],
-        activity_factors: Iterable[float],
-        volumes_bytes: Iterable[float],
-    ) -> "ApplicationGraph":
-        """Classic fork-join shape: task 0 forks to 1..n-2, all join at
-        the last task.  ``volumes_bytes`` gives fork volumes then join
-        volumes, ``2 * (task_count - 2)`` entries.
-        """
-        if task_count < 3:
-            raise ValueError("fork-join needs at least 3 tasks")
-        work = list(work_cycles)
-        bins = list(activity_bins)
-        factors = list(activity_factors)
-        volumes = list(volumes_bytes)
-        middle = task_count - 2
-        if not (len(work) == len(bins) == len(factors) == task_count):
-            raise ValueError("per-task attribute lengths must equal task_count")
-        if len(volumes) != 2 * middle:
-            raise ValueError(f"need {2 * middle} volumes, got {len(volumes)}")
-        g = cls()
-        for i in range(task_count):
-            g.add_task(TaskNode(i, bins[i], work[i], factors[i]))
-        last = task_count - 1
-        for k, mid in enumerate(range(1, last)):
-            g.add_edge(0, mid, volumes[k])
-            g.add_edge(mid, last, volumes[middle + k])
-        return g
 
     @classmethod
     def layered(

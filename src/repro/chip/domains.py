@@ -57,11 +57,6 @@ class DomainMap:
         """Number of power-supply domains on the chip."""
         return self._grid_w * self._grid_h
 
-    @property
-    def grid_shape(self) -> Tuple[int, int]:
-        """Shape ``(width, height)`` of the domain grid."""
-        return self._grid_w, self._grid_h
-
     def domain_of(self, tile: int) -> int:
         """Domain id that a tile belongs to."""
         try:
@@ -82,13 +77,6 @@ class DomainMap:
             raise ValueError(f"domain id {domain} outside [0, {self.domain_count})")
         return domain % self._grid_w, domain // self._grid_w
 
-    def domain_at(self, coord: Tuple[int, int]) -> int:
-        """Domain id at a domain-grid coordinate."""
-        x, y = coord
-        if not (0 <= x < self._grid_w and 0 <= y < self._grid_h):
-            raise ValueError(f"domain coordinate {coord} outside grid {self.grid_shape}")
-        return y * self._grid_w + x
-
     @property
     def distances(self) -> Tuple[Tuple[int, ...], ...]:
         """All-pairs domain distances, built once per map:
@@ -101,13 +89,3 @@ class DomainMap:
         self.domain_coord(a)  # raises ValueError out of range
         self.domain_coord(b)
         return self._distances[a][b]
-
-    def neighbor_domains(self, domain: int) -> List[int]:
-        """Domains adjacent (distance 1) to ``domain`` in the domain grid."""
-        x, y = self.domain_coord(domain)
-        candidates = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-        return [
-            self.domain_at(c)
-            for c in candidates
-            if 0 <= c[0] < self._grid_w and 0 <= c[1] < self._grid_h
-        ]

@@ -13,7 +13,7 @@ technology node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.chip.technology import TechnologyNode
 
@@ -89,10 +89,6 @@ class VddLadder:
 
     def __contains__(self, vdd: float) -> bool:
         return any(abs(v - vdd) < 1e-9 for v in self.levels)
-
-    def at_least(self, vdd: float) -> Sequence[float]:
-        """Levels greater than or equal to ``vdd``."""
-        return tuple(v for v in self.levels if v >= vdd - 1e-9)
 
     def nearest(self, vdd: float) -> float:
         """The ladder level closest to ``vdd``."""

@@ -90,16 +90,6 @@ class MeshGeometry:
         candidates = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
         return [self.tile_at(c) for c in candidates if self.contains(c)]
 
-    def tiles_within(self, tile: int, radius: int) -> List[int]:
-        """All tiles within ``radius`` hops of ``tile`` (excluding itself)."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        return [
-            other
-            for other in self.tiles()
-            if other != tile and self.manhattan(tile, other) <= radius
-        ]
-
     def _check_tile(self, tile: int) -> None:
         if not 0 <= tile < self.tile_count:
             raise ValueError(

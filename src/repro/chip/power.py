@@ -134,10 +134,6 @@ class PowerModel:
             router_leakage=self.router_leakage(vdd),
         )
 
-    def idle_tile_power(self, vdd: float) -> TilePower:
-        """Power of a powered-but-idle tile (dark tiles are power gated)."""
-        return self.tile_power(0.0, 0.0, vdd)
-
     @staticmethod
     def _check_activity(activity: float) -> None:
         if not 0.0 <= activity <= 1.0:

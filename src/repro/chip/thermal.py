@@ -100,15 +100,3 @@ class ThermalModel:
     ) -> bool:
         """Whether every tile stays below the junction limit."""
         return self.peak_temperature_c(tile_power_w) <= limit_c
-
-    def safe_uniform_budget_w(
-        self, limit_c: float = T_JUNCTION_MAX_C
-    ) -> float:
-        """Chip power budget that keeps a *uniform* power map below the
-        junction limit - the DsPB this cooling solution supports.
-
-        With uniform power the lateral terms cancel, so the limit is
-        ``n_tiles * (limit - ambient) / r_vertical``.
-        """
-        per_tile = (limit_c - self.ambient_c) / self.r_vertical_k_per_w
-        return per_tile * self.mesh.tile_count

@@ -410,26 +410,6 @@ def fault_noc_sweep(
     return rows
 
 
-def print_fault_noc_sweep(rows: Optional[List[FaultNocRow]] = None) -> None:
-    """Print the NoC fault sweep as a fixed-width table."""
-    rows = rows if rows is not None else fault_noc_sweep()
-    print("NoC fault sweep: latency/throughput vs droop fault intensity")
-    print(
-        f"{'policy':>9s} {'intensity':>9s} {'avg_lat[cyc]':>12s} "
-        f"{'p95_lat[cyc]':>12s} {'thr[f/c]':>9s} {'delivered[%]':>12s} "
-        f"{'droop_tiles':>11s} {'droop[%]':>8s}"
-    )
-    for r in rows:
-        print(
-            f"{r.policy:>9s} {r.intensity:>9.2f} "
-            f"{r.avg_latency_cycles:>12.2f} "
-            f"{r.p95_latency_cycles:>12.2f} "
-            f"{r.throughput_flits_per_cycle:>9.3f} "
-            f"{r.delivered_pct:>12.1f} {r.droop_tiles:>11.1f} "
-            f"{r.mean_droop_pct:>8.3f}"
-        )
-
-
 def print_fault_sweep(rows: Optional[List[FaultSweepRow]] = None) -> None:
     """Print the sweep as the report's fixed-width table."""
     rows = rows if rows is not None else fault_sweep()

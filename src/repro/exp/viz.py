@@ -1,22 +1,17 @@
-"""ASCII renderers for chip state and per-tile maps.
+"""ASCII renderers for placements and PSN traces.
 
-Terminal-friendly visualisation used by the examples: an occupancy map
-showing each application's tasks and their activity bins, and a PSN
-heat map with the voltage-emergency margin highlighted.
+Terminal-friendly visualisation used by the examples: one application's
+placement with each task's activity bin, and a timeline of the chip's
+peak PSN with the voltage-emergency margin highlighted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from repro.apps.graph import ApplicationGraph
 from repro.chip.cmp import ChipDescription
 from repro.core.base import MappingDecision
-from repro.runtime.state import ChipState
-
-#: Shades for the PSN heat map, from quiet to loud.
-_HEAT = " .:-=+*#%@"
-
 
 def render_placement(
     chip: ChipDescription,
@@ -38,61 +33,6 @@ def render_placement(
                 cells.append("H" if bin_.is_high else "L")
         lines.append(" ".join(cells))
     return "\n".join(lines)
-
-
-def render_occupancy(chip: ChipDescription, state: ChipState) -> str:
-    """Whole-chip occupancy: one letter per application, ``.`` free.
-
-    Applications are lettered a, b, c, ... in ascending app-id order
-    (wrapping after z).
-    """
-    letters: Dict[int, str] = {}
-    for i, app_id in enumerate(state.running_apps()):
-        letters[app_id] = chr(ord("a") + i % 26)
-    lines = []
-    for y in range(chip.mesh.height):
-        cells = []
-        for x in range(chip.mesh.width):
-            occ = state.occupant(chip.mesh.tile_at((x, y)))
-            cells.append(letters[occ.app_id] if occ else ".")
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
-
-
-def render_psn_heatmap(
-    chip: ChipDescription,
-    psn_pct: Sequence[float],
-    threshold_pct: Optional[float] = 5.0,
-) -> str:
-    """Per-tile PSN heat map; tiles above the VE margin render as ``!``.
-
-    Args:
-        chip: The platform (for the mesh shape).
-        psn_pct: One PSN value per tile, percent of Vdd.
-        threshold_pct: Voltage-emergency margin; ``None`` disables the
-            emergency marker.
-    """
-    values = list(psn_pct)
-    if len(values) != chip.tile_count:
-        raise ValueError(
-            f"need {chip.tile_count} PSN values, got {len(values)}"
-        )
-    top = max(max(values), 1e-9)
-    lines = []
-    for y in range(chip.mesh.height):
-        cells = []
-        for x in range(chip.mesh.width):
-            v = values[chip.mesh.tile_at((x, y))]
-            if threshold_pct is not None and v > threshold_pct:
-                cells.append("!")
-            else:
-                idx = min(int(v / top * (len(_HEAT) - 1)), len(_HEAT) - 1)
-                cells.append(_HEAT[idx] if v > 0 else ".")
-        lines.append(" ".join(cells))
-    legend = f"scale: '.'=0  '@'={top:.1f}%"
-    if threshold_pct is not None:
-        legend += f"  '!'>{threshold_pct:.0f}% (voltage emergency)"
-    return "\n".join(lines) + "\n" + legend
 
 
 def render_psn_timeline(

@@ -112,10 +112,6 @@ class NocLoadReport:
             return 0.0
         return float(np.mean([f.header_latency_cycles for f in self.flows]))
 
-    @property
-    def max_router_rate(self) -> float:
-        return float(np.max(self.router_flits_per_cycle))
-
 
 #: One hop out of a router: ``(outgoing link key, next tile)``.
 _Hop = Tuple[Tuple[int, Direction], int]

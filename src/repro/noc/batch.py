@@ -152,13 +152,6 @@ class NocSimStats:
         return float(np.percentile(self.packet_latencies, 95))
 
     @property
-    def peak_router_flits_per_cycle(self) -> float:
-        """Largest per-router forwarding rate (0.0 before any run)."""
-        if self.router_flits_per_cycle is None:
-            return 0.0
-        return float(np.max(self.router_flits_per_cycle))
-
-    @property
     def throughput_flits_per_cycle(self) -> float:
         return self.flits_delivered / self.cycles if self.cycles else 0.0
 

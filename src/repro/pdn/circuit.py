@@ -22,7 +22,7 @@ Example:
     >>> c.resistor("vin", "out", 100.0)
     >>> c.capacitor("out", "gnd", 1e-6)
     >>> result = c.transient(duration=1e-3, dt=1e-6)
-    >>> abs(result.voltage("out")[-1] - 1.0) < 1e-3
+    >>> bool(abs(result.voltage("out")[-1] - 1.0) < 1e-3)
     True
 """
 

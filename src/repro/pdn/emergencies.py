@@ -53,10 +53,6 @@ class VoltageEmergencyPolicy:
         if self.rate_per_pct_s < 0:
             raise ValueError("rate_per_pct_s must be non-negative")
 
-    def is_emergency(self, peak_psn_pct: float) -> bool:
-        """Whether a peak PSN level constitutes a voltage emergency."""
-        return peak_psn_pct > self.threshold_pct
-
     def expected_rate_hz(self, peak_psn_pct: float) -> float:
         """Expected VE occurrences per second at a sustained noise level.
 

@@ -126,10 +126,6 @@ class SensorNetwork:
         self._updated_s[tile] = now_s
         return value
 
-    def latest(self, tile: int) -> float:
-        """Most recent reading for a tile (0 if never sampled)."""
-        return self._readings.get(tile, 0.0)
-
     def snapshot(self) -> Dict[int, float]:
         """Copy of all current readings."""
         return dict(self._readings)

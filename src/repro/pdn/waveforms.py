@@ -145,11 +145,6 @@ class CurrentWaveform:
         self._router_mean = load.router_power_w / vdd
         self._params = BIN_WAVE_PARAMS[load.activity_bin]
 
-    @property
-    def mean_amps(self) -> float:
-        """Time-average current (``P / Vdd``)."""
-        return self._core_mean + self._router_mean
-
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         load = self._load
@@ -181,10 +176,3 @@ class CurrentWaveform:
             params.sharpness
         )
         return mean * (1.0 + params.swing * burst)
-
-
-def waveform_for(
-    load: TileLoad, vdd: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Convenience wrapper returning the circuit-ready waveform callable."""
-    return CurrentWaveform(load, vdd)

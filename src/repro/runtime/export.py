@@ -2,14 +2,14 @@
 
 The experiment harness prints paper-style tables; this module gives
 users machine-readable output: one row per application with its full
-lifecycle, plus a one-row run summary.
+lifecycle.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import List, Sequence
+from typing import List
 
 from repro.runtime.metrics import RunMetrics
 
@@ -70,46 +70,4 @@ def app_records_csv(metrics: RunMetrics) -> str:
     writer = csv.writer(buffer)
     writer.writerow(APP_COLUMNS)
     writer.writerows(app_records_rows(metrics))
-    return buffer.getvalue()
-
-
-def write_app_records_csv(metrics: RunMetrics, path: str) -> None:
-    """Write :func:`app_records_csv` to a file."""
-    with open(path, "w", newline="") as handle:
-        handle.write(app_records_csv(metrics))
-
-
-def run_summary_csv(results: Sequence, header: bool = True) -> str:
-    """Summaries of several :class:`~repro.exp.runner.FrameworkResult`
-    objects as CSV (framework, workload, arrival, totals)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if header:
-        writer.writerow(
-            [
-                "framework",
-                "workload",
-                "arrival_interval_s",
-                "total_time_s",
-                "peak_psn_pct",
-                "avg_psn_pct",
-                "completed",
-                "dropped",
-                "ve_count",
-            ]
-        )
-    for r in results:
-        writer.writerow(
-            [
-                r.framework,
-                r.workload,
-                r.arrival_interval_s,
-                r.total_time_s,
-                r.peak_psn_pct,
-                r.avg_psn_pct,
-                r.completed,
-                r.dropped,
-                r.ve_count,
-            ]
-        )
     return buffer.getvalue()

@@ -67,9 +67,6 @@ class RunMetrics:
         avg_psn_pct: Time- and tile-weighted mean PSN over occupied
             tiles - Fig. 7.
         total_ve_count: Voltage emergencies across the run.
-        compaction_count: Migration-based defragmentation events (only
-            when a :class:`~repro.runtime.migration.MigrationPolicy` is
-            active).
         reactive_move_count: Hotspot-triggered thread migrations (only
             when a :class:`~repro.runtime.migration.ReactiveMigrationPolicy`
             is active).
@@ -85,7 +82,6 @@ class RunMetrics:
     peak_psn_pct: float = 0.0
     avg_psn_pct: float = 0.0
     total_ve_count: int = 0
-    compaction_count: int = 0
     reactive_move_count: int = 0
     fault_count: int = 0
     remap_count: int = 0
@@ -115,14 +111,6 @@ class RunMetrics:
     def degraded_count(self) -> int:
         """Applications that completed despite fault-triggered re-maps."""
         return sum(1 for a in self.apps.values() if a.degraded)
-
-    @property
-    def deadline_met_count(self) -> int:
-        return sum(1 for a in self.apps.values() if a.met_deadline)
-
-    @property
-    def total_migrated_tasks(self) -> int:
-        return sum(a.migrated_tasks for a in self.apps.values())
 
     def record_psn_interval(
         self, duration_s: float, occupied_avg_psn: List[float], peak_pct: float

@@ -1,110 +1,22 @@
-"""Thread-migration / defragmentation extension for the runtime.
+"""Reactive hotspot migration for the runtime.
 
 The paper's conclusion positions PARM against "schemes such as thread
 migration employed to keep the tile switching activity in check",
 arguing PARM avoids their software overhead.  This module implements
-that alternative so the claim can be measured: when an arriving
-application cannot be mapped because the free domains are fragmented,
-the runtime may *compact* the chip - re-place every running application
-with the PSN-aware mapping heuristic on an empty chip image, freeing a
-contiguous region - and charge each moved thread a migration penalty
-(checkpoint, state transfer over the NoC, restart).
-
-Compaction preserves each application's operating point (Vdd, DoP); only
-placements change.  It is intended for PARM-style whole-domain mappings.
-
-A finding worth stating up front: with PARM's own mapping heuristic the
-trigger is rare to non-existent, because Algorithm 2 does not require
-*contiguous* domains - any set of free domains admits a mapping, so
-"fragmentation" cannot block the queue head; only the free-domain count
-can, and compaction preserves that count.  Measured over the Fig. 8
-workloads, zero compactions fire.  This quantifies the paper's closing
-claim that PARM "minimize[s] the software overhead due to schemes such
-as thread migration": the PSN-aware allocator removes the conditions
-that make migration necessary.
+that reactive alternative so the claim can be measured: when a tile's
+PSN sensor reading crosses a trigger threshold, the runtime moves its
+thread to a quieter free tile and charges a per-thread migration
+penalty (checkpoint, state transfer over the NoC, restart).  The
+prevention-vs-correction comparison (EXPERIMENTS.md) runs ORCH with and
+without it against PARM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.runtime.state import ChipState
-
-if TYPE_CHECKING:  # avoid a circular import with repro.core
-    from repro.core.base import MappingDecision
-
-
-@dataclass(frozen=True)
-class MigrationPolicy:
-    """Costs and limits of runtime thread migration.
-
-    Attributes:
-        per_task_cost_s: Wall-clock penalty per *moved* thread: taking a
-            checkpoint, draining in-flight packets, shipping
-            architectural + dirty cache state across the NoC and
-            restarting.  The 100 us default corresponds to ~64 KB of
-            state at NoC bandwidth plus the paper's checkpoint/restore
-            cycle counts.
-        max_compactions: Upper bound on compaction events per run (keeps
-            a pathological workload from thrashing).
-    """
-
-    per_task_cost_s: float = 100e-6
-    max_compactions: int = 50
-
-    def __post_init__(self) -> None:
-        if self.per_task_cost_s < 0:
-            raise ValueError("per_task_cost_s must be non-negative")
-        if self.max_compactions < 1:
-            raise ValueError("max_compactions must be at least 1")
-
-
-def plan_compaction(
-    state: ChipState,
-    running_decisions: Dict[int, Tuple],
-) -> Optional[Dict[int, MappingDecision]]:
-    """Re-place all running applications on an empty chip image.
-
-    Args:
-        state: Current chip state (only read; provides the platform).
-        running_decisions: Mapping of app id to ``(profile, decision)``
-            for every running application.
-
-    Returns:
-        New decisions per app id (same Vdd and DoP, new tiles), or
-        ``None`` when some application cannot be re-placed - which means
-        compaction cannot help.
-    """
-
-    from repro.core.mapping import psn_aware_mapping
-
-    # The trial image must inherit permanently failed tiles, or the plan
-    # would place threads on hardware that no longer exists.
-    trial = ChipState(state.chip, failed_tiles=state.failed_tiles())
-    replacements: Dict[int, "MappingDecision"] = {}
-    # Place the largest applications first: they are the hardest to fit.
-    order = sorted(
-        running_decisions,
-        key=lambda aid: (-running_decisions[aid][1].dop, aid),
-    )
-    for aid in order:
-        profile, old = running_decisions[aid]
-        new = psn_aware_mapping(profile, old.vdd, old.dop, trial)
-        if new is None:
-            return None
-        trial.occupy(aid, new.task_to_tile, new.vdd, new.power_w)
-        replacements[aid] = new
-    return replacements
-
-
-def moved_task_count(old: "MappingDecision", new: "MappingDecision") -> int:
-    """How many threads actually change tiles between two placements."""
-    return sum(
-        1
-        for task, tile in new.task_to_tile.items()
-        if old.task_to_tile.get(task) != tile
-    )
 
 
 @dataclass(frozen=True)

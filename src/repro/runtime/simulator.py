@@ -66,13 +66,7 @@ from repro.pdn.sensors import SensorNetwork
 from repro.pdn.waveforms import ActivityBin
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.metrics import AppRecord, RunMetrics
-from repro.runtime.migration import (
-    MigrationPolicy,
-    ReactiveMigrationPolicy,
-    moved_task_count,
-    pick_migration_target,
-    plan_compaction,
-)
+from repro.runtime.migration import ReactiveMigrationPolicy, pick_migration_target
 from repro.runtime.state import ChipState
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
@@ -267,9 +261,6 @@ class RuntimeSimulator:
         manager: Resource manager (PARM or HM).
         routing: NoC routing algorithm (XY, ICON or PANR).
         ve_policy: Voltage-emergency rate model.
-        migration: When set, fragmentation that blocks the queue head
-            triggers migration-based compaction (an extension; see
-            :mod:`repro.runtime.migration`).
         reactive_migration: When set, a sensor reading over the trigger
             threshold migrates the offending thread to a quieter tile
             (the Orchestrator-style baseline's back end).
@@ -295,7 +286,6 @@ class RuntimeSimulator:
         manager: ResourceManager,
         routing: RoutingAlgorithm,
         ve_policy: Optional[VoltageEmergencyPolicy] = None,
-        migration: Optional[MigrationPolicy] = None,
         reactive_migration: Optional[ReactiveMigrationPolicy] = None,
         faults: Optional[FaultCampaign] = None,
         recovery: Optional[RecoveryPolicy] = None,
@@ -311,7 +301,6 @@ class RuntimeSimulator:
         # Routing and the reactive back end see quantised sensor
         # readings; VE sampling uses the true noise.
         self._sensors = SensorNetwork()
-        self._migration = migration
         self._reactive = reactive_migration
         # An empty campaign is exactly "no faults": keep every fault hook
         # disabled so fault-free runs stay bit-identical to the seed.
@@ -531,10 +520,6 @@ class RuntimeSimulator:
                 decision = self._manager.try_map(
                     head.profile, head.deadline_s - now, state
                 )
-                if decision is None and self._migration is not None:
-                    decision = self._try_compaction(
-                        state, running, head, now, metrics
-                    )
                 if decision is None:
                     break  # FCFS: the head blocks until resources free up
                 state.occupy(
@@ -670,55 +655,6 @@ class RuntimeSimulator:
         metrics.reactive_move_count += 1
         cooldown[occ.app_id] = now
         return True
-
-    def _try_compaction(
-        self,
-        state: ChipState,
-        running: Dict[int, _RunningApp],
-        head: ApplicationArrival,
-        now: float,
-        metrics: RunMetrics,
-    ):
-        """Defragment via migration so the queue head can map.
-
-        Returns the head's mapping decision when compaction succeeds
-        (with the chip state already rewritten and migration penalties
-        charged), else ``None``.
-        """
-        if not running:
-            return None
-        if metrics.compaction_count >= self._migration.max_compactions:
-            return None
-        replacements = plan_compaction(
-            state,
-            {
-                aid: (app.arrival.profile, app.decision)
-                for aid, app in running.items()
-            },
-        )
-        if replacements is None:
-            return None
-        trial = ChipState(self._chip, failed_tiles=state.failed_tiles())
-        for aid, new in replacements.items():
-            trial.occupy(aid, new.task_to_tile, new.vdd, new.power_w)
-        head_decision = self._manager.try_map(
-            head.profile, head.deadline_s - now, trial
-        )
-        if head_decision is None:
-            return None  # fragmentation was not the blocker
-
-        # Commit: rewrite the real occupancy and charge moved threads.
-        for aid in list(running):
-            state.release(aid)
-        for aid, new in replacements.items():
-            state.occupy(aid, new.task_to_tile, new.vdd, new.power_w)
-            app = running[aid]
-            moved = moved_task_count(app.decision, new)
-            app.decision = new
-            app.remaining_s += moved * self._migration.per_task_cost_s
-            app.record.migrated_tasks += moved
-        metrics.compaction_count += 1
-        return head_decision
 
     def _sample_emergencies(
         self,

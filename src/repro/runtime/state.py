@@ -38,9 +38,9 @@ class ChipState:
         chip: The platform description.
         failed_tiles: Tiles that are permanently unusable (fault
             injection); they are excluded from every free-tile/domain
-            query and can never be occupied.  Trial states built for
-            what-if planning (compaction, re-mapping) must carry the
-            source state's failed set so plans stay executable.
+            query and can never be occupied.  A state rebuilt from
+            another (a service epoch resumed from its checkpoint) must
+            carry the source state's failed set.
     """
 
     def __init__(
@@ -120,9 +120,6 @@ class ChipState:
     def domain_vdd(self, domain: int) -> Optional[float]:
         """Current supply voltage of a domain (None when idle)."""
         return self._domain_vdd.get(domain)
-
-    def running_apps(self) -> List[int]:
-        return sorted(self._app_power_w)
 
     def tiles_of_app(self, app_id: int) -> Dict[int, int]:
         """Mapping of task id to tile for one running application."""

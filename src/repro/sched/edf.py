@@ -48,9 +48,6 @@ class EdfSchedule:
     makespan: float
     deadline_met: bool
 
-    def by_task(self) -> Dict[int, ScheduledTask]:
-        return {t.task_id: t for t in self.tasks}
-
 
 def edf_schedule(
     graph: ApplicationGraph,

@@ -46,11 +46,6 @@ class TestVddLadder:
         assert 0.5 in ladder
         assert 0.55 not in ladder
 
-    def test_at_least(self):
-        ladder = VddLadder.paper_default()
-        assert list(ladder.at_least(0.6)) == pytest.approx([0.6, 0.7, 0.8])
-        assert list(ladder.at_least(0.85)) == []
-
     def test_nearest(self):
         ladder = VddLadder.paper_default()
         assert ladder.nearest(0.44) == pytest.approx(0.4)

@@ -64,15 +64,6 @@ class TestBasics:
         assert sorted(mesh.neighbors(5)) == [4, 6, 15]
         assert len(mesh.neighbors(11)) == 4
 
-    def test_tiles_within(self, mesh):
-        ring1 = mesh.tiles_within(11, 1)
-        assert sorted(ring1) == sorted(mesh.neighbors(11))
-        ring2 = mesh.tiles_within(11, 2)
-        assert set(ring1) < set(ring2)
-        assert 11 not in ring2
-        with pytest.raises(ValueError):
-            mesh.tiles_within(0, -1)
-
 
 class TestProperties:
     @given(

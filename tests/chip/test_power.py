@@ -108,7 +108,7 @@ class TestTilePower:
         assert tp.router == pytest.approx(tp.router_dynamic + tp.router_leakage)
 
     def test_idle_tile_power_below_active(self, model):
-        idle = model.idle_tile_power(0.6)
+        idle = model.tile_power(0.0, 0.0, 0.6)
         active = model.tile_power(0.6, 1.0, 0.6)
         assert idle.total < active.total
 

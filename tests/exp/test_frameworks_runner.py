@@ -194,11 +194,3 @@ class TestFaultNocSweep:
             fault_noc_sweep(cycles=0)
         with pytest.raises(ConfigError, match="positive"):
             fault_noc_sweep(injection_rate_flits=-0.1)
-
-    def test_print_smoke(self, capsys):
-        from repro.exp.faults import print_fault_noc_sweep
-
-        print_fault_noc_sweep(self._sweep())
-        out = capsys.readouterr().out
-        assert "droop_tiles" in out
-        assert "panr" in out

@@ -1,12 +1,11 @@
 """Tests for the ASCII renderers."""
 
-import numpy as np
 import pytest
 
 from repro.apps.suite import ProfileLibrary
 from repro.chip import default_chip
 from repro.core import ParmManager
-from repro.exp.viz import render_occupancy, render_placement, render_psn_heatmap
+from repro.exp.viz import render_placement
 from repro.runtime.state import ChipState
 
 
@@ -34,43 +33,8 @@ class TestPlacement:
         graph = profile.graph(d.dop)
         art = render_placement(chip, d, graph)
         assert art.count("H") == len(graph.high_tasks())
-        assert art.count("L") == len(graph.low_tasks())
+        assert art.count("L") == graph.task_count - len(graph.high_tasks())
         assert art.count(".") == chip.tile_count - d.dop
-
-
-class TestOccupancy:
-    def test_free_chip_all_dots(self, chip):
-        art = render_occupancy(chip, ChipState(chip))
-        assert set(art.replace(" ", "").replace("\n", "")) == {"."}
-
-    def test_apps_lettered_in_order(self, chip):
-        state = ChipState(chip)
-        state.occupy(7, {0: 0, 1: 1}, 0.4, 1.0)
-        state.occupy(9, {0: 10, 1: 11}, 0.4, 1.0)
-        art = render_occupancy(chip, state)
-        flat = art.replace(" ", "").replace("\n", "")
-        assert flat.count("a") == 2  # app 7
-        assert flat.count("b") == 2  # app 9
-
-
-class TestHeatmap:
-    def test_emergency_marker(self, chip):
-        psn = np.zeros(chip.tile_count)
-        psn[5] = 7.0
-        psn[6] = 3.0
-        art = render_psn_heatmap(chip, psn)
-        grid, legend = art.rsplit("\n", 1)
-        assert grid.count("!") == 1
-        assert "voltage emergency" in legend
-
-    def test_no_threshold_mode(self, chip):
-        psn = np.full(chip.tile_count, 8.0)
-        art = render_psn_heatmap(chip, psn, threshold_pct=None)
-        assert "!" not in art
-
-    def test_shape_validated(self, chip):
-        with pytest.raises(ValueError):
-            render_psn_heatmap(chip, [1.0, 2.0])
 
 
 class TestTimeline:

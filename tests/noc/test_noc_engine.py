@@ -147,12 +147,3 @@ class TestStatsAccessors:
             flits_delivered=0,
         )
         assert stats.router_flits_per_cycle is None
-        assert stats.peak_router_flits_per_cycle == 0.0
-
-    def test_peak_router_flits(self):
-        stats = NocSimStats(
-            cycles=10, packets_injected=1, packets_delivered=1,
-            flits_delivered=4,
-            router_flits_per_cycle=np.array([0.1, 0.7, 0.3]),
-        )
-        assert stats.peak_router_flits_per_cycle == pytest.approx(0.7)

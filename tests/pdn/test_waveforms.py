@@ -10,7 +10,6 @@ from repro.pdn.waveforms import (
     BinWaveParams,
     CurrentWaveform,
     TileLoad,
-    waveform_for,
 )
 
 
@@ -61,7 +60,6 @@ class TestCurrentWaveform:
         wave = CurrentWaveform(load, 0.5)
         samples = wave(self._times())
         assert float(np.mean(samples)) == pytest.approx(0.5 / 0.5, rel=0.01)
-        assert wave.mean_amps == pytest.approx(1.0)
 
     def test_idle_waveform_is_zero(self):
         wave = CurrentWaveform(TileLoad.idle(), 0.5)
@@ -90,11 +88,6 @@ class TestCurrentWaveform:
     def test_vdd_must_be_positive(self):
         with pytest.raises(ValueError):
             CurrentWaveform(TileLoad.idle(), 0.0)
-
-    def test_waveform_for_returns_callable(self):
-        wave = waveform_for(TileLoad(0.2, 0.0, ActivityBin.LOW), 0.4)
-        out = wave(np.array([0.0, 1e-9]))
-        assert out.shape == (2,)
 
     @given(
         core=st.floats(0.01, 2.0),

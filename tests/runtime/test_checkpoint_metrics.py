@@ -62,7 +62,7 @@ class TestRunMetrics:
         m.apps[1].dropped_s = 0.5
         assert m.completed_count == 1
         assert m.dropped_count == 1
-        assert m.deadline_met_count == 1
+        assert m.apps[0].met_deadline
 
     def test_psn_interval_accounting(self):
         m = RunMetrics()

@@ -9,12 +9,7 @@ import pytest
 
 from repro.chip import default_chip
 from repro.runtime.checkpoint import CheckpointPolicy
-from repro.runtime.migration import (
-    MigrationPolicy,
-    ReactiveMigrationPolicy,
-    pick_migration_target,
-    plan_compaction,
-)
+from repro.runtime.migration import ReactiveMigrationPolicy, pick_migration_target
 from repro.runtime.state import ChipState
 
 
@@ -63,10 +58,6 @@ class TestCheckpointEdges:
 
 class TestMigrationEdges:
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            MigrationPolicy(per_task_cost_s=-1.0)
-        with pytest.raises(ValueError):
-            MigrationPolicy(max_compactions=0)
         with pytest.raises(ValueError):
             ReactiveMigrationPolicy(trigger_pct=0.0)
         with pytest.raises(ValueError):
@@ -125,9 +116,6 @@ class TestMigrationEdges:
             0.0,
         )
         assert pick_migration_target(state, hot, 0.4) is None
-
-    def test_compaction_of_empty_chip_is_trivial(self, chip):
-        assert plan_compaction(ChipState(chip), {}) == {}
 
 
 class TestFailedTileState:

@@ -9,16 +9,9 @@ from repro.apps.suite import ProfileLibrary
 from repro.apps.workload import WorkloadType, generate_workload
 from repro.chip import default_chip
 from repro.core import ParmManager
-from repro.exp.frameworks import framework
-from repro.exp.runner import run_framework
 from repro.noc.routing import make_routing
 from repro.runtime import RuntimeSimulator
-from repro.runtime.export import (
-    APP_COLUMNS,
-    app_records_csv,
-    run_summary_csv,
-    write_app_records_csv,
-)
+from repro.runtime.export import APP_COLUMNS, app_records_csv
 
 
 @pytest.fixture(scope="module")
@@ -50,31 +43,3 @@ class TestAppRecordsCsv:
         rows = list(csv.DictReader(io.StringIO(app_records_csv(metrics))))
         ids = [int(r["app_id"]) for r in rows]
         assert ids == sorted(ids)
-
-    def test_write_to_file(self, metrics, tmp_path):
-        path = tmp_path / "apps.csv"
-        write_app_records_csv(metrics, str(path))
-        # read_text translates the csv module's \r\n line endings.
-        on_disk = path.read_text().replace("\r\n", "\n")
-        assert on_disk == app_records_csv(metrics).replace("\r\n", "\n")
-
-
-class TestRunSummaryCsv:
-    def test_summary_round_trip(self):
-        result = run_framework(
-            framework("PARM+XY"),
-            WorkloadType.COMPUTE,
-            arrival_interval_s=0.2,
-            n_apps=4,
-            seeds=(1,),
-        )
-        text = run_summary_csv([result])
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 1
-        assert rows[0]["framework"] == "PARM+XY"
-        assert float(rows[0]["total_time_s"]) == pytest.approx(
-            result.total_time_s
-        )
-
-    def test_no_header_mode(self):
-        assert run_summary_csv([], header=False) == ""

@@ -9,11 +9,6 @@ full output of each loop on runs that together take every path:
 * the six evaluation frameworks on one mixed 20-app sequence;
 * PARM+PANR under a sampled fault campaign that exhausts re-map
   retries (``remap_retry_count > 0``, at least one failed app);
-* PARM+PANR with migration-based compaction enabled, and a
-  whole-domain HM variant under which compaction actually fires (no
-  shipped manager can be unblocked by compaction: PARM needs as many
-  free domains as clusters and re-placement keeps that count, while HM
-  and ORCH run every app at the top Vdd and need only free tiles);
 * ORCH+XY with reactive hotspot migration;
 * one run recording the per-event trace;
 * an overloaded service (preemption, shedding, re-admission and
@@ -24,7 +19,9 @@ A simulator digest hashes every ``AppRecord`` and ``RunMetrics``
 field, trace included, floats as ``repr``; a service digest hashes the
 campaign's traffic JSON.  The digests were generated before the loops'
 shared decisions moved to single owners; a refactor must reproduce
-them, never re-pin them.
+them, never re-pin them.  The simulator digests were regenerated once,
+without a ``compaction_count`` field, when migration compaction was
+deleted.
 """
 
 import dataclasses
@@ -37,31 +34,27 @@ import pytest
 from repro.apps.suite import ProfileLibrary
 from repro.apps.workload import WorkloadType, generate_workload
 from repro.chip import default_chip
-from repro.core import HarmonicManager, ParmManager
-from repro.core.base import MappingDecision
+from repro.core import ParmManager
 from repro.core.orchestrator import OrchestratorManager
 from repro.exp.frameworks import FRAMEWORKS
 from repro.faults.campaign import DEFAULT_FAULT_RATES, FaultCampaign
 from repro.noc.routing import make_routing
-from repro.runtime.migration import MigrationPolicy, ReactiveMigrationPolicy
+from repro.runtime.migration import ReactiveMigrationPolicy
 from repro.runtime.service.arrivals import PoissonProcess
 from repro.runtime.service.campaign import ServiceCampaign, traffic_json
 from repro.runtime.service.config import ServiceConfig, ServiceFault
 from repro.runtime.simulator import RuntimeSimulator, SimulatorContext
 
 GOLDEN = {
-    ("sim", "HM+XY"): "d88c00d2a0d664c6dbf5c9a5dfb8b09b6d2b322a3ef9dcf8cea98d594997993b",
-    ("sim", "HM+ICON"): "2a5bf65f911772aa5ad4affa1d161ea3a96b37a54ac93e7cabc128064c62f1be",
-    ("sim", "HM+PANR"): "c5cfea1128b8ba8eb8355e2e217ea83ca3136939c7d029c72a0932d8710c42d3",
-    ("sim", "PARM+XY"): "8af843d08700e299701e2f7988864ff06a312a4bb71078224c8116b327a05e75",
-    ("sim", "PARM+ICON"): "2fe1746c3497520b1fdf21e40eb2b8ac0563b4c011368e0605c93692a9f7432a",
-    ("sim", "PARM+PANR"): "0f255e64e9c4535b3dfb10578c36f38f927a72819cce72f1b33d3c3cb226834c",
-    ("sim", "faults"): "b2d55dafd7d4b7741b82308605cf20f25aa4a32bc2394d6ac1b76ad49b141f76",
-    # Compaction never fires under PARM, so this equals plain PARM+PANR.
-    ("sim", "parm-compaction"): "0f255e64e9c4535b3dfb10578c36f38f927a72819cce72f1b33d3c3cb226834c",
-    ("sim", "compaction"): "fe687e52d1443a9f03a07864986f9f76fde19839991e1006b419e05d371fe46c",
-    ("sim", "reactive"): "3fc0d6ea3c286fb44c37df6702c5ace14e7a6e46c08b12e9dcb1582130c543a0",
-    ("sim", "trace"): "be2039f1c161688639311a042bcda46bf5e47e692e0bb6c04c0089627b1aec1a",
+    ("sim", "HM+XY"): "15eb04da0dd63fcc60103ad970d01a371f2ecd549bd1fbe34d8934317743c1bd",
+    ("sim", "HM+ICON"): "4bfbb85a0eaee928269b4ba0483e92392346f4a38ecf825790730c1dae186da2",
+    ("sim", "HM+PANR"): "a69e1bebae8b5ec20346797fca57c5cc514f5b7ce91cd74c59b2613f7dc4c652",
+    ("sim", "PARM+XY"): "b5da0d7599ec9aa82e4cc69c3a9c280827ec842f7fcc9842431cfbe6e43597dc",
+    ("sim", "PARM+ICON"): "c25efe73e076ecacd63dbb8d7a70250d6546dab46cf0b8f445ef19a19ee169fa",
+    ("sim", "PARM+PANR"): "1b4026f65a10a850a3d5022b7c6bedb0b32c65ef1899457e65352b43b5f41278",
+    ("sim", "faults"): "d34ad0c8d05f4b726f3c1bbb831b2044f5f50f46123238150d75453864e52abe",
+    ("sim", "reactive"): "d7fd5f2ecfeaf5a673d73b72a5f73d844d78dd37283bcd61cb94d2f24de33f9e",
+    ("sim", "trace"): "c708bd5243885355f13025d4da60f8d1e0573080ad90ce316b33336166d51a5b",
     ("service", "clean"): "14789bd604568156192a15a21fd635a550291a413295daf86fccfd1deacdacb7",
     ("service", "faults"): "0ca519a98557c1722e82e58da011ce5cc5cd8a2c937ea4f90cab89ac0ce94cca",
 }
@@ -121,31 +114,6 @@ def simulate(chip, context, workload, manager, router, **kw):
     return sim.run(workload)
 
 
-class _WholeDomainHM(HarmonicManager):
-    """HM scatter at 0.6 V that also asks for ``default_dop / 4`` whole
-    free domains: below the top Vdd several apps fit the power budget,
-    their scattered tiles fragment the domains, and compaction (which
-    re-places every app into whole domains) unblocks the queue head."""
-
-    vdd = 0.6
-
-    def try_map(self, profile, deadline_s, state):
-        dop = self.default_dop
-        if profile.wcet_s(self.vdd, dop) >= deadline_s:
-            return None
-        power = profile.power_w(self.vdd, dop)
-        if power > state.available_power_w():
-            return None
-        if len(state.free_domains()) < dop // 4:
-            return None
-        task_to_tile = self._scatter(profile.graph(dop), state, self.vdd)
-        if task_to_tile is None:
-            return None
-        return MappingDecision(
-            vdd=self.vdd, dop=dop, task_to_tile=task_to_tile, power_w=power
-        )
-
-
 def _check(key, digest):
     assert digest == GOLDEN[key], key
 
@@ -170,23 +138,6 @@ class TestSimulatorGolden:
         assert metrics.remap_retry_count > 0
         assert metrics.failed_count > 0
         _check(("sim", "faults"), metrics_digest(metrics))
-
-    def test_parm_compaction_policy(self, chip, context, workload):
-        metrics = simulate(
-            chip, context, workload, ParmManager(), "panr",
-            migration=MigrationPolicy(),
-        )
-        assert metrics.compaction_count == 0
-        _check(("sim", "parm-compaction"), metrics_digest(metrics))
-
-    def test_compaction_fires(self, chip, context, workload):
-        metrics = simulate(
-            chip, context, workload, _WholeDomainHM(), "panr",
-            migration=MigrationPolicy(),
-        )
-        assert metrics.compaction_count > 0
-        assert metrics.total_migrated_tasks > 0
-        _check(("sim", "compaction"), metrics_digest(metrics))
 
     def test_reactive_migration(self, chip, context, workload):
         metrics = simulate(

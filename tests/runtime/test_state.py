@@ -19,7 +19,6 @@ class TestQueries:
         assert state.available_power_w() == pytest.approx(65.0)
         assert state.occupant(0) is None
         assert state.domain_vdd(0) is None
-        assert state.running_apps() == []
 
 
 class TestOccupy:

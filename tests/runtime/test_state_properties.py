@@ -77,4 +77,4 @@ def test_state_invariants_under_random_operations(seed, steps):
         state.release(app_id)
     assert len(state.free_tiles()) == chip.tile_count
     assert state.used_power_w() == 0.0
-    assert state.running_apps() == []
+    assert state.occupied_tiles() == []

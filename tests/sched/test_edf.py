@@ -21,6 +21,10 @@ def make_graph(edges, n, work=None):
     return g
 
 
+def by_task(sched):
+    return {t.task_id: t for t in sched.tasks}
+
+
 class TestBasics:
     def test_empty_graph(self):
         sched = edf_schedule(ApplicationGraph(), 4, lambda t: 1.0)
@@ -41,7 +45,7 @@ class TestBasics:
         g = make_graph([(0, 1), (1, 2)], 3)
         sched = edf_schedule(g, 3, lambda t: 1.0)
         assert sched.makespan == pytest.approx(3.0)
-        by = sched.by_task()
+        by = by_task(sched)
         assert by[1].start >= by[0].finish
         assert by[2].start >= by[1].finish
 
@@ -70,7 +74,7 @@ class TestEdfOrder:
         # deadline.
         g = make_graph([(1, 2), (2, 3)], 4, work={0: 1.0, 1: 1.0, 2: 5.0, 3: 5.0})
         sched = edf_schedule(g, 1, lambda t: g.task(t).work_cycles)
-        by = sched.by_task()
+        by = by_task(sched)
         assert by[1].start < by[0].start
 
     def test_deadline_met_flag(self):
@@ -109,7 +113,7 @@ class TestInvariants:
             task_time=lambda t: g.task(t).work_cycles,
             comm_delay=lambda s, d: 0.3,
         )
-        by = sched.by_task()
+        by = by_task(sched)
         assert len(by) == g.task_count
         # Precedence: successors start after predecessors finish.
         for u, v, _ in g.edges():
