@@ -30,8 +30,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.exp.report import PRESETS, generate_report
-
 
 def main(argv=None) -> int:
     if argv is None:
@@ -63,6 +61,8 @@ def main(argv=None) -> int:
         from repro.runtime.service.cli import main as service_main
 
         return service_main(argv[1:])
+    from repro.exp.report import PRESETS, generate_report
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the PARM (DAC 2018) evaluation figures.",

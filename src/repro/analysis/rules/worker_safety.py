@@ -35,7 +35,7 @@ deterministic.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.astwalk import own_nodes
 from repro.analysis.callgraph import CallGraph

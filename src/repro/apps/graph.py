@@ -8,10 +8,10 @@ edges sorted by decreasing volume (Algorithm 2).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.pdn.waveforms import ActivityBin
@@ -59,16 +59,18 @@ class ApplicationGraph:
     Edges carry ``volume_bytes``: the total data exchanged between the two
     threads over one execution of the application.
 
-    networkx stores the graph while it is built.  The structural queries
-    (:meth:`tasks`, :meth:`edges`, :meth:`predecessors`,
-    :meth:`successors`, :meth:`topological_order`) read one snapshot of
-    plain tuples and dicts, built on the first query after a change;
-    every mutator clears it.
+    Two plain dicts store the graph, both in insertion order: each
+    task's successors with their volumes, and each task's predecessors.
+    The structural queries (:meth:`tasks`, :meth:`edges`,
+    :meth:`predecessors`, :meth:`successors`, :meth:`topological_order`)
+    read one snapshot of plain tuples and dicts, built on the first query
+    after a change; every mutator clears it.
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
         self._tasks: Dict[int, TaskNode] = {}
+        self._succ: Dict[int, Dict[int, float]] = {}
+        self._pred: Dict[int, List[int]] = {}
         self._snap: Optional[_Snapshot] = None
 
     # ------------------------------------------------------------------
@@ -80,7 +82,8 @@ class ApplicationGraph:
         if task.task_id in self._tasks:
             raise ValueError(f"duplicate task id {task.task_id}")
         self._tasks[task.task_id] = task
-        self._g.add_node(task.task_id)
+        self._succ[task.task_id] = {}
+        self._pred[task.task_id] = []
         self._snap = None
 
     def replace_task(self, task: TaskNode) -> None:
@@ -100,8 +103,9 @@ class ApplicationGraph:
         """
         if factor < 0:
             raise ValueError("factor must be non-negative")
-        for u, v, data in self._g.edges(data=True):
-            data["volume_bytes"] = data["volume_bytes"] * factor
+        for succ in self._succ.values():
+            for v in succ:
+                succ[v] = succ[v] * factor
         self._snap = None
 
     def add_edge(self, src: int, dst: int, volume_bytes: float) -> None:
@@ -109,7 +113,8 @@ class ApplicationGraph:
 
         The graph stays acyclic: an edge closes a cycle exactly when
         ``src`` is already reachable from ``dst``, and such an edge is
-        rejected with the graph unchanged.
+        rejected with the graph unchanged.  Adding an existing edge
+        again replaces its volume.
         """
         if src not in self._tasks or dst not in self._tasks:
             raise ValueError(f"edge ({src}, {dst}) references unknown task")
@@ -117,10 +122,26 @@ class ApplicationGraph:
             raise ValueError("self edges are not allowed")
         if volume_bytes < 0:
             raise ValueError("volume must be non-negative")
-        if nx.has_path(self._g, dst, src):
+        if self._reaches(dst, src):
             raise ValueError(f"edge ({src}, {dst}) would create a cycle")
-        self._g.add_edge(src, dst, volume_bytes=float(volume_bytes))
+        succ = self._succ[src]
+        if dst not in succ:
+            self._pred[dst].append(src)
+        succ[dst] = float(volume_bytes)
         self._snap = None
+
+    def _reaches(self, start: int, target: int) -> bool:
+        """Whether ``target`` is reachable from ``start`` along edges."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in self._succ[stack.pop()]:
+                if v == target:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return False
 
     # ------------------------------------------------------------------
     # Queries
@@ -129,17 +150,32 @@ class ApplicationGraph:
     def _snapshot(self) -> _Snapshot:
         snap = self._snap
         if snap is None:
-            g = self._g
+            succ, pred = self._succ, self._pred
             snap = self._snap = _Snapshot(
                 tasks=tuple(self._tasks[i] for i in sorted(self._tasks)),
                 edges=tuple(
-                    (u, v, d["volume_bytes"]) for u, v, d in g.edges(data=True)
+                    (u, v, w) for u, out in succ.items() for v, w in out.items()
                 ),
-                predecessors={n: tuple(sorted(g.pred[n])) for n in g},
-                successors={n: tuple(sorted(g.succ[n])) for n in g},
-                topological_order=tuple(nx.lexicographical_topological_sort(g)),
+                predecessors={n: tuple(sorted(pred[n])) for n in succ},
+                successors={n: tuple(sorted(succ[n])) for n in succ},
+                topological_order=self._kahn_order(),
             )
         return snap
+
+    def _kahn_order(self) -> Tuple[int, ...]:
+        """Kahn's algorithm, always releasing the smallest ready task id."""
+        indegree = {n: len(p) for n, p in self._pred.items()}
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v in self._succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    heapq.heappush(ready, v)
+        return tuple(order)
 
     @property
     def task_count(self) -> int:
@@ -166,8 +202,7 @@ class ApplicationGraph:
 
     def volume(self, src: int, dst: int) -> float:
         """Volume of one edge (0 if absent)."""
-        data = self._g.get_edge_data(src, dst)
-        return data["volume_bytes"] if data else 0.0
+        return self._succ.get(src, {}).get(dst, 0.0)
 
     def total_volume_bytes(self) -> float:
         return sum(v for _, _, v in self.edges())

@@ -5,6 +5,9 @@ This package models the hardware substrate of the paper's 60-core CMP
 a NoC router and private L1 caches; tiles grouped into 2x2 power-supply
 domains with independent voltage regulators; per-domain dynamic voltage
 scaling between 0.4 V (near-threshold) and 0.8 V.
+
+The RC thermal model, :mod:`repro.chip.thermal`, solves with scipy and
+is not re-exported here: import it directly.
 """
 
 from repro.chip.technology import TechnologyNode, TECHNOLOGY_LIBRARY, technology
@@ -13,7 +16,6 @@ from repro.chip.domains import DomainMap
 from repro.chip.dvfs import VddLadder, alpha_power_frequency
 from repro.chip.power import PowerModel, TilePower
 from repro.chip.cmp import ChipDescription, default_chip
-from repro.chip.thermal import ThermalModel, T_JUNCTION_MAX_C
 
 __all__ = [
     "TechnologyNode",
@@ -28,6 +30,4 @@ __all__ = [
     "TilePower",
     "ChipDescription",
     "default_chip",
-    "ThermalModel",
-    "T_JUNCTION_MAX_C",
 ]

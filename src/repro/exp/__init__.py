@@ -12,16 +12,15 @@
   the frameworks under injected component faults);
 * :mod:`repro.exp.report`     - the ``python -m repro`` one-shot report;
 * :mod:`repro.exp.viz`        - ASCII chip/PSN renderers.
+
+Only the framework table and the runner, which every campaign cell runs,
+are imported here.  The figure and report modules load the transient
+solver's scipy stack; import them directly (``from repro.exp import
+figures`` works as before).
 """
 
 from repro.exp.frameworks import FRAMEWORKS, Framework, framework
 from repro.exp.runner import FrameworkResult, run_framework
-from repro.exp import ablations
-from repro.exp import faults
-from repro.exp import figures
-from repro.exp import guardband
-from repro.exp import report
-from repro.exp import viz
 
 __all__ = [
     "FRAMEWORKS",
@@ -29,10 +28,4 @@ __all__ = [
     "framework",
     "FrameworkResult",
     "run_framework",
-    "figures",
-    "ablations",
-    "faults",
-    "guardband",
-    "report",
-    "viz",
 ]

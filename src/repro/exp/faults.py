@@ -32,9 +32,7 @@ from repro.exp.frameworks import framework as fw_lookup
 from repro.faults import (
     DEFAULT_FAULT_RATES,
     FaultCampaign,
-    FaultKind,
     FaultRates,
-    FaultState,
 )
 from repro.harness.errors import ConfigError
 from repro.harness.seeding import derive_seeds
@@ -219,192 +217,6 @@ def fault_sweep(
                     fault_count=float(np.mean([r.fault_count for r in runs])),
                     remap_count=float(np.mean([r.remap_count for r in runs])),
                     degradation_pct=degradation,
-                )
-            )
-    return rows
-
-
-@dataclass(frozen=True)
-class FaultNocRow:
-    """Seed-averaged NoC response at one (policy, fault intensity)."""
-
-    policy: str
-    intensity: float
-    avg_latency_cycles: float
-    p95_latency_cycles: float
-    throughput_flits_per_cycle: float
-    delivered_pct: float
-    #: Mean count of tiles whose PSN floor is raised by an active droop.
-    droop_tiles: float
-    #: Mean active droop magnitude over all tiles (percent of Vdd).
-    mean_droop_pct: float
-
-
-#: Baseline PSN of droop-free tiles in the NoC fault sweep (percent).
-NOC_SWEEP_QUIET_PSN_PCT = 4.0
-
-
-def fault_noc_sweep(
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    policies: Sequence[str] = ("xy", "panr"),
-    seeds: Sequence[int] = (1, 2),
-    injection_rate_flits: float = 0.25,
-    cycles: int = 1500,
-    packet_size_flits: int = 4,
-    rates: FaultRates = SWEEP_FAULT_RATES,
-    chip: Optional[ChipDescription] = None,
-) -> List[FaultNocRow]:
-    """NoC latency/throughput response to VRM-droop fault load.
-
-    Complements :func:`fault_sweep` (whole-runtime robustness) with the
-    network-level view: per (intensity, seed), the full fault campaign
-    is sampled with the same coupled thinning, its VRM-droop episodes
-    active at the mid-horizon observation instant are folded into a
-    per-tile PSN field via :class:`~repro.faults.state.FaultState`, and
-    the flit-level engine runs uniform-random traffic under that field
-    for every policy.  All of a policy's (intensity, seed) grid points
-    are lanes of one :class:`~repro.noc.batch.BatchedNocEngine` pass,
-    each lane with its own PSN field and byte-identical to a one-lane
-    run.
-
-    Traffic is re-used across intensities (one pattern per seed), so
-    rows measure pure fault-load response, not traffic noise.
-
-    Returns:
-        One row per (policy, intensity), policies grouped together,
-        intensities in the order given.
-
-    Raises:
-        ConfigError: on empty grids or out-of-range parameters.
-    """
-    from repro.harness.seeding import derive_seed
-    from repro.noc.batch import BatchedNocEngine, TrafficFlow
-    from repro.noc.routing import make_routing
-
-    seeds = tuple(seeds)
-    intensities = tuple(intensities)
-    policies = tuple(policies)
-    if not seeds or not intensities or not policies:
-        raise ConfigError(
-            "seeds, intensities and policies must not be empty"
-        )
-    out_of_range = [i for i in intensities if not 0.0 <= i <= 1.0]
-    if out_of_range:
-        raise ConfigError(
-            "intensities must lie in [0, 1]", intensities=tuple(out_of_range)
-        )
-    if injection_rate_flits <= 0 or cycles <= 0:
-        raise ConfigError(
-            "injection_rate_flits and cycles must be positive",
-            injection_rate_flits=injection_rate_flits,
-            cycles=cycles,
-        )
-    chip = chip or default_chip()
-    mesh = chip.mesh
-    n = mesh.tile_count
-    horizon_s = 10.0
-    t_obs = horizon_s / 2.0
-
-    def traffic(seed: int) -> Tuple[TrafficFlow, ...]:
-        rng = np.random.default_rng(
-            derive_seed(seed, "exp/faults/noc-traffic", 0)
-        )
-        flows = []
-        for src in range(n):
-            dst = int(rng.integers(0, n - 1))
-            if dst >= src:
-                dst += 1
-            flows.append(
-                TrafficFlow(
-                    src=src,
-                    dst=dst,
-                    rate=injection_rate_flits,
-                    packet_size=packet_size_flits,
-                )
-            )
-        return tuple(flows)
-
-    # One PSN field per (intensity, seed): sample the campaign with the
-    # coupled-thinning stream shared across intensities, then fold the
-    # droop episodes active at t_obs into the per-tile floor.
-    flows_of = {seed: traffic(seed) for seed in seeds}
-    psn_of: Dict[Tuple[float, int], np.ndarray] = {}
-    for seed in seeds:
-        campaign_seed = derive_seed(seed, "exp/faults/noc-campaign", 0)
-        for intensity in intensities:
-            campaign = FaultCampaign.sample(
-                chip,
-                horizon_s,
-                np.random.default_rng(campaign_seed),
-                rates=rates,
-                intensity=intensity,
-            )
-            state = FaultState(chip)
-            for event in campaign.events:
-                if event.kind is not FaultKind.VRM_DROOP:
-                    continue
-                end_s = event.time_s + (event.duration_s or 0.0)
-                if event.time_s <= t_obs < end_s:
-                    state.apply(event)
-            psn_of[(intensity, seed)] = (
-                NOC_SWEEP_QUIET_PSN_PCT + state.droop_pct
-            )
-
-    grid = [(i, s) for i in intensities for s in seeds]
-    lane_psn = np.stack([psn_of[cell] for cell in grid])
-    lane_flows = [flows_of[seed] for _, seed in grid]
-    rows: List[FaultNocRow] = []
-    for policy in policies:
-        engine = BatchedNocEngine(
-            mesh, make_routing(policy), n_lanes=len(grid), psn_pct=lane_psn
-        )
-        stats_list = engine.run(lane_flows, cycles)
-        by_cell: Dict[float, List] = {i: [] for i in intensities}
-        for (intensity, _), stats in zip(grid, stats_list):
-            by_cell[intensity].append(stats)
-        for intensity in intensities:
-            cell = by_cell[intensity]
-            fields = [psn_of[(intensity, s)] for s in seeds]
-            delivered = [
-                100.0 * st.packets_delivered / st.packets_injected
-                if st.packets_injected
-                else 0.0
-                for st in cell
-            ]
-            rows.append(
-                FaultNocRow(
-                    policy=policy,
-                    intensity=float(intensity),
-                    avg_latency_cycles=float(
-                        np.mean([st.avg_packet_latency for st in cell])
-                    ),
-                    p95_latency_cycles=float(
-                        np.mean([st.p95_packet_latency for st in cell])
-                    ),
-                    throughput_flits_per_cycle=float(
-                        np.mean(
-                            [st.throughput_flits_per_cycle for st in cell]
-                        )
-                    ),
-                    delivered_pct=float(np.mean(delivered)),
-                    droop_tiles=float(
-                        np.mean(
-                            [
-                                np.count_nonzero(
-                                    f > NOC_SWEEP_QUIET_PSN_PCT
-                                )
-                                for f in fields
-                            ]
-                        )
-                    ),
-                    mean_droop_pct=float(
-                        np.mean(
-                            [
-                                f.mean() - NOC_SWEEP_QUIET_PSN_PCT
-                                for f in fields
-                            ]
-                        )
-                    ),
                 )
             )
     return rows

@@ -11,14 +11,14 @@ distribution.  DESIGN.md (decision #1) commits to this cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.apps.suite import ProfileLibrary
 from repro.chip.cmp import ChipDescription, default_chip
 from repro.core import HarmonicManager, ParmManager
-from repro.pdn.audit import audit_mapping
+from repro.pdn.audit import audit_mappings
 from repro.runtime.state import ChipState
 
 
@@ -91,29 +91,34 @@ def validate_on_manager_decisions(
     """
     chip = chip or default_chip()
     library = library or ProfileLibrary()
-    rows: List[ValidationRow] = []
+    decided = []
     for name in benchmarks:
         profile = library.get(name)
         for manager in (ParmManager(), HarmonicManager()):
             decision = manager.try_map(profile, 100.0, ChipState(chip))
-            if decision is None:
-                continue
-            graph = profile.graph(decision.dop)
-            audit = audit_mapping(
-                chip, decision, graph, window_s=window_s, dt_s=dt_s
-            )
-            rows.append(
-                ValidationRow(
-                    benchmark=name,
-                    manager=manager.name,
-                    vdd=decision.vdd,
-                    dop=decision.dop,
-                    transient_peak_pct=audit.chip_peak_pct,
-                    fast_peak_pct=float(np.max(audit.fast_peak_psn_pct)),
-                    worst_tile_error_pct=audit.fast_model_peak_error_pct,
-                )
-            )
-    return ValidationSummary(rows=tuple(rows))
+            if decision is not None:
+                graph = profile.graph(decision.dop)
+                decided.append((name, manager.name, decision, graph))
+    # Every decision's domains are lanes of one transient batch.
+    audits = audit_mappings(
+        chip,
+        [(decision, graph, None) for _, _, decision, graph in decided],
+        window_s=window_s,
+        dt_s=dt_s,
+    )
+    rows = tuple(
+        ValidationRow(
+            benchmark=name,
+            manager=manager,
+            vdd=decision.vdd,
+            dop=decision.dop,
+            transient_peak_pct=audit.chip_peak_pct,
+            fast_peak_pct=float(np.max(audit.fast_peak_psn_pct)),
+            worst_tile_error_pct=audit.fast_model_peak_error_pct,
+        )
+        for (name, manager, decision, _), audit in zip(decided, audits)
+    )
+    return ValidationSummary(rows=rows)
 
 
 def print_validation(summary: Optional[ValidationSummary] = None) -> None:

@@ -21,7 +21,7 @@ up, in the analytical model's propagation step.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.noc.routing.base import RoutingContext
 from repro.noc.routing.west_first import WestFirstRouting

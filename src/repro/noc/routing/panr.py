@@ -29,7 +29,7 @@ entire sensor network faulted, PANR's routes collapse exactly onto XY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.noc.routing.base import RoutingContext
 from repro.noc.routing.west_first import WestFirstRouting

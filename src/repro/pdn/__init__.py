@@ -22,34 +22,23 @@ This package rebuilds that stack from scratch:
 * :mod:`repro.pdn.calibrate`   - the calibration fit;
 * :mod:`repro.pdn.sensors`     - quantised on-die PSN sensor readings;
 * :mod:`repro.pdn.emergencies` - voltage-emergency detection and rates;
-* :mod:`repro.pdn.audit`       - whole-mapping transient audits (import
-  directly; it depends on :mod:`repro.apps` and :mod:`repro.core`, so it
-  is not re-exported here).
+* :mod:`repro.pdn.audit`       - whole-mapping transient audits.
+
+Only the models that mapping and the runtime loops read are re-exported
+here.  The transient stack (``circuit``, ``builder``, ``transient``,
+``calibrate``, ``audit``) solves with scipy, so a process that never runs
+it does not load it: import those modules directly.
 """
 
-from repro.pdn.circuit import Circuit, TransientResult
-from repro.pdn.builder import DomainPdnBuilder, TILE_NODES
 from repro.pdn.waveforms import ActivityBin, TileLoad, CurrentWaveform
-from repro.pdn.transient import (
-    DomainPsnReport,
-    PsnTransientAnalysis,
-    apply_phase_convention,
-)
 from repro.pdn.fast import FastPsnModel, KernelLadder, PsnKernel
 from repro.pdn.sensors import SensorNetwork
 from repro.pdn.emergencies import VoltageEmergencyPolicy, VE_THRESHOLD_PCT
 
 __all__ = [
-    "Circuit",
-    "TransientResult",
-    "DomainPdnBuilder",
-    "TILE_NODES",
     "ActivityBin",
     "TileLoad",
     "CurrentWaveform",
-    "DomainPsnReport",
-    "PsnTransientAnalysis",
-    "apply_phase_convention",
     "FastPsnModel",
     "KernelLadder",
     "PsnKernel",

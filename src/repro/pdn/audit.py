@@ -10,7 +10,7 @@ model's error on exactly the configurations a manager produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,28 +50,73 @@ class ChipPsnAudit:
         )
 
 
-def audit_mapping(
+#: One mapping to audit: the decision, the application graph at the
+#: decision's DoP, and optional per-tile router activity (e.g. from
+#: :class:`~repro.noc.analytical.AnalyticalNocModel`; zeros when None).
+AuditedMapping = Tuple[
+    MappingDecision, ApplicationGraph, Optional[Sequence[float]]
+]
+
+
+def audit_mappings(
     chip: ChipDescription,
-    decision: MappingDecision,
-    graph: ApplicationGraph,
-    router_flits_per_cycle: Optional[Sequence[float]] = None,
+    mappings: Sequence[AuditedMapping],
     window_s: float = 300e-9,
     dt_s: float = 50e-12,
-) -> ChipPsnAudit:
-    """Run the transient solver over every domain a mapping occupies.
+) -> List[ChipPsnAudit]:
+    """Run the transient solver over every domain the mappings occupy.
+
+    Every audited domain of every mapping shares one PDN plan, so all of
+    them are solved as lanes of one batch; each audit is bit-identical
+    to the one a batch of its own mapping gives.
 
     Args:
         chip: The platform.
-        decision: The mapping to audit.
-        graph: The application graph at the decision's DoP.
-        router_flits_per_cycle: Optional per-tile router activity (e.g.
-            from :class:`~repro.noc.analytical.AnalyticalNocModel`);
-            zeros when omitted.
+        mappings: ``(decision, graph, router_flits_per_cycle)`` triples.
         window_s, dt_s: Transient analysis window and step.
 
     Returns:
-        The :class:`ChipPsnAudit`.
+        One :class:`ChipPsnAudit` per mapping, in order.
     """
+    plans = [
+        _domain_requests(chip, decision, graph, rates)
+        for decision, graph, rates in mappings
+    ]
+    analysis = PsnTransientAnalysis(chip.tech, window_s=window_s, dt_s=dt_s)
+    reports = iter(
+        analysis.analyze_many(
+            [request for _, requests in plans for request in requests]
+        )
+    )
+    fast = FastPsnModel()
+    audits = []
+    for domain_tiles, requests in plans:
+        peak = np.zeros(chip.tile_count)
+        avg = np.zeros(chip.tile_count)
+        fast_peak = np.zeros(chip.tile_count)
+        for tiles, (domain_vdd, loads) in zip(domain_tiles, requests):
+            report = next(reports)
+            fast_estimate, _ = fast.domain_psn(domain_vdd, loads)
+            for i, tile in enumerate(tiles):
+                peak[tile] = report.peak_psn_pct[i]
+                avg[tile] = report.avg_psn_pct[i]
+                fast_peak[tile] = fast_estimate[i]
+        audits.append(
+            ChipPsnAudit(
+                peak_psn_pct=peak, avg_psn_pct=avg, fast_peak_psn_pct=fast_peak
+            )
+        )
+    return audits
+
+
+def _domain_requests(
+    chip: ChipDescription,
+    decision: MappingDecision,
+    graph: ApplicationGraph,
+    router_flits_per_cycle: Optional[Sequence[float]],
+) -> Tuple[List[Sequence[int]], List[Tuple[float, List[TileLoad]]]]:
+    """The tiles and the ``(vdd, loads)`` analysis request of every
+    domain one mapping's audit covers, in ascending domain order."""
     if router_flits_per_cycle is None:
         router_rates = np.zeros(chip.tile_count)
     else:
@@ -81,18 +126,11 @@ def audit_mapping(
                 f"need {chip.tile_count} router rates, got {router_rates.shape}"
             )
 
-    analysis = PsnTransientAnalysis(chip.tech, window_s=window_s, dt_s=dt_s)
-    fast = FastPsnModel()
     power_model = chip.power_model
     vdd = decision.vdd
-
     tile_task: Dict[int, int] = {
         tile: task for task, tile in decision.task_to_tile.items()
     }
-    peak = np.zeros(chip.tile_count)
-    avg = np.zeros(chip.tile_count)
-    fast_peak = np.zeros(chip.tile_count)
-
     domains = {chip.domains.domain_of(t) for t in decision.tiles}
     # Idle domains carrying through-traffic still see router noise; the
     # NoC keeps their routers powered at the lowest DVS step (matching
@@ -133,18 +171,4 @@ def audit_mapping(
             )
         domain_tiles.append(tiles)
         requests.append((domain_vdd, loads))
-
-    # The decision's domains share one PDN plan: one batch of lanes.
-    reports = analysis.analyze_many(requests)
-    for tiles, (domain_vdd, loads), report in zip(
-        domain_tiles, requests, reports
-    ):
-        fast_estimate, _ = fast.domain_psn(domain_vdd, loads)
-        for i, tile in enumerate(tiles):
-            peak[tile] = report.peak_psn_pct[i]
-            avg[tile] = report.avg_psn_pct[i]
-            fast_peak[tile] = fast_estimate[i]
-
-    return ChipPsnAudit(
-        peak_psn_pct=peak, avg_psn_pct=avg, fast_peak_psn_pct=fast_peak
-    )
+    return domain_tiles, requests

@@ -23,7 +23,7 @@ folded in.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Quantiles tracked per latency metric (wait and sojourn).
 TRACKED_QUANTILES = (0.5, 0.95, 0.99)

@@ -138,59 +138,3 @@ class TestFaultSweepValidation:
             fault_sweep(n_apps=0)
         with pytest.raises(ConfigError, match="arrival_interval_s"):
             fault_sweep(arrival_interval_s=float("nan"))
-
-
-class TestFaultNocSweep:
-    """Network-level fault response: grid shape, determinism, droop."""
-
-    def _sweep(self, **overrides):
-        from repro.chip.cmp import default_chip
-        from repro.exp.faults import fault_noc_sweep
-
-        kwargs = dict(
-            intensities=(0.0, 1.0),
-            policies=("xy", "panr"),
-            seeds=(1, 2),
-            cycles=300,
-            chip=default_chip(4, 4),
-        )
-        kwargs.update(overrides)
-        return fault_noc_sweep(**kwargs)
-
-    def test_rows_cover_grid_policy_major(self):
-        rows = self._sweep()
-        assert [(r.policy, r.intensity) for r in rows] == [
-            ("xy", 0.0), ("xy", 1.0), ("panr", 0.0), ("panr", 1.0),
-        ]
-        for row in rows:
-            assert row.avg_latency_cycles > 0
-            assert row.throughput_flits_per_cycle > 0
-            assert 0 < row.delivered_pct <= 100.0
-
-    def test_deterministic_across_calls(self):
-        assert self._sweep() == self._sweep()
-
-    def test_droop_fields_track_intensity(self):
-        rows = self._sweep()
-        by = {(r.policy, r.intensity): r for r in rows}
-        quiet, loaded = by[("xy", 0.0)], by[("xy", 1.0)]
-        # Zero intensity thins away every event; full intensity leaves
-        # droop episodes active at the observation instant.
-        assert quiet.droop_tiles == 0.0
-        assert quiet.mean_droop_pct == 0.0
-        assert loaded.droop_tiles > 0.0
-        assert loaded.mean_droop_pct > 0.0
-
-    def test_validation(self):
-        from repro.exp.faults import fault_noc_sweep
-
-        with pytest.raises(ConfigError, match="must not be empty"):
-            fault_noc_sweep(seeds=())
-        with pytest.raises(ConfigError, match="must not be empty"):
-            fault_noc_sweep(policies=())
-        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
-            fault_noc_sweep(intensities=(0.5, 1.5))
-        with pytest.raises(ConfigError, match="positive"):
-            fault_noc_sweep(cycles=0)
-        with pytest.raises(ConfigError, match="positive"):
-            fault_noc_sweep(injection_rate_flits=-0.1)

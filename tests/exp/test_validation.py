@@ -63,3 +63,22 @@ class TestSummaryMechanics:
             ValidationRow("c", "HM", 0.8, 16, 10.0, 2.0, 8.0),
         )
         assert not ValidationSummary(rows).rank_agreement
+
+
+def test_every_audit_is_one_transient_batch(monkeypatch):
+    """All decisions' domains share one PDN plan and are solved as the
+    lanes of a single batch."""
+    from repro.pdn.circuit import Circuit
+
+    batches = []
+    real = Circuit.transient_lanes
+
+    def counting(self, duration, dt, lanes, **kwargs):
+        batches.append(len(lanes))
+        return real(self, duration, dt, lanes, **kwargs)
+
+    monkeypatch.setattr(Circuit, "transient_lanes", counting)
+    summary = validate_on_manager_decisions(window_s=20e-9, dt_s=100e-12)
+    assert len(summary.rows) == 8
+    # One call for all 73 domains the 8 decisions occupy.
+    assert batches == [73]

@@ -6,8 +6,16 @@ import pytest
 from repro.apps.suite import ProfileLibrary
 from repro.chip import default_chip
 from repro.core import HarmonicManager, ParmManager
-from repro.pdn.audit import audit_mapping
+from repro.pdn.audit import audit_mappings
 from repro.runtime.state import ChipState
+
+
+def audit_mapping(chip, decision, graph, router_flits_per_cycle=None, **window):
+    """Audit one mapping as a batch of its own."""
+    (audit,) = audit_mappings(
+        chip, [(decision, graph, router_flits_per_cycle)], **window
+    )
+    return audit
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +117,25 @@ class TestIdleDomainTraffic:
         )
         for t in chip.domains.tiles_of(idle_domain):
             assert audit.peak_psn_pct[t] > 0.0
+
+
+class TestBatchedAudits:
+    def test_one_batch_matches_one_batch_per_mapping(self, chip):
+        profile = ProfileLibrary().get("blackscholes")
+        graphs = []
+        for manager in (ParmManager(), HarmonicManager()):
+            decision = manager.try_map(profile, 100.0, ChipState(chip))
+            graphs.append((decision, profile.graph(decision.dop)))
+        rates = np.zeros(chip.tile_count)
+        rates[graphs[0][0].tiles[0]] = 2.0
+        mappings = [
+            (graphs[0][0], graphs[0][1], rates),
+            (graphs[1][0], graphs[1][1], None),
+            (graphs[0][0], graphs[0][1], None),
+        ]
+        window = dict(window_s=50e-9, dt_s=100e-12)
+        batched = audit_mappings(chip, mappings, **window)
+        for mapping, audit in zip(mappings, batched):
+            alone = audit_mapping(chip, *mapping, **window)
+            for field in ("peak_psn_pct", "avg_psn_pct", "fast_peak_psn_pct"):
+                assert getattr(audit, field).tobytes() == getattr(alone, field).tobytes()
