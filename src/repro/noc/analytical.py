@@ -23,7 +23,24 @@ The same :class:`~repro.noc.routing.base.RoutingAlgorithm` weights drive
 the flit-level engine (:mod:`repro.noc.batch`), so the two models express
 one policy; ``tests/noc/test_cross_validation.py`` checks their rank
 agreement.  Hops where the policy has one permissible direction come
-from its forced-hop table, without a ``weights`` call.
+from its forced-hop table, without asking the policy.
+
+The model works on arrays.  Each (source, destination) pair has a
+*plan*: the minimal DAG that ``permissible`` allows, node by node in
+distance levels, each node with at most two exit *columns*.  One
+propagation pushes every flow through its plan a level at a time; the
+policy weighs all free (router, destination) pairs the plans reach in
+one :meth:`~repro.noc.routing.base.RoutingAlgorithm.weight_columns`
+call.  The results are bit-identical to walking each flow's DAG as
+dicts (``tests/noc/analytical_oracle.py``), for these reasons:
+
+* a node has at most two parents and two exits, and a sum of at most
+  two terms is the same in either order;
+* the per-tile and per-link totals add the flows in input order
+  (``np.bincount`` adds its entries in order);
+* ``link_rho`` keeps the order in which the dict walk first touches
+  each link: flow, level, node, column, where a level's nodes go in
+  the order their first incoming share arrived.
 """
 
 from __future__ import annotations
@@ -34,8 +51,23 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
-from repro.noc.topology import Direction, MeshTopology, PORT_DIRECTIONS
+from repro.chip.mesh import MeshGeometry
+from repro.noc.routing.base import (
+    FREE_HOP,
+    FreePairs,
+    RouterContexts,
+    RoutingAlgorithm,
+    permissible_owner,
+    reject_hop,
+)
+from repro.noc.topology import (
+    MESH_DIRECTIONS,
+    OPPOSITE_CODES,
+    PORT_CODES,
+    PORT_DIRECTIONS,
+    Direction,
+    MeshTopology,
+)
 
 #: Utilisation clamp: loads above this mark the network saturated.
 RHO_MAX = 0.95
@@ -113,28 +145,78 @@ class NocLoadReport:
         return float(np.mean([f.header_latency_cycles for f in self.flows]))
 
 
-#: One hop out of a router: ``(outgoing link key, next tile)``.
-_Hop = Tuple[Tuple[int, Direction], int]
+#: Link id of the port with code ``c`` at tile ``t``: ``t * _PORTS + c``.
+_PORTS = len(PORT_DIRECTIONS)
 
-#: One router's expansion towards one destination: the policy's weights
-#: (fault-filtered) and their total.
-_Expansion = Tuple[Dict[Direction, float], float]
+# Columns of a plan row (one row per DAG node): the node's tile and
+# distance level from the source, then two slots each for the exit
+# port codes (in permissible order), the child rows they lead to, and
+# the incoming edges (``2 * parent row + column``); -1 marks an empty
+# slot.
+_TILE, _LEVEL, _CODE, _CHILD, _IN = 0, 1, 2, 4, 6
+_PLAN_WIDTH = 8
 
-#: Weights of a forced hop by port code, ``{D: 1.0}``: one shared dict
-#: per direction, never mutated (the fault filter builds a new one).
-_FORCED_WEIGHTS = tuple({d: 1.0} for d in PORT_DIRECTIONS)
+#: Plans keyed by (class defining ``permissible``, mesh), then by
+#: (src, dst); filled lazily and shared like the forced-hop tables.
+_PLANS: Dict[Tuple[type, MeshGeometry], Dict[Tuple[int, int], np.ndarray]] = {}
+
+
+class _Layout(NamedTuple):
+    """The plans of one evaluation's routable flows, concatenated.
+
+    Entries (DAG nodes) are in *level order*: by distance level, then
+    flow, then the node's place in its plan, so that each level is one
+    slice and the flows' sources come first.  ``rank`` maps the *flow
+    order* (by flow, then plan row) to level order.
+    """
+
+    #: Per level: (start, stop) of its slice.
+    bounds: List[Tuple[int, int]]
+    #: Per entry: flat incoming-edge indices into the share array
+    #: (``2 * entry + column``; ``2 * size`` reads a 0.0).
+    in0: np.ndarray
+    in1: np.ndarray
+    #: ``(size, 2)`` child entry of each column (``size`` when empty).
+    children: np.ndarray
+    #: ``(size, 2)`` link id of each column, in level order.
+    links: np.ndarray
+    #: Per entry: its (router, destination) pair's row.
+    pair: np.ndarray
+    #: Per entry: it is its flow's destination.
+    is_dst: np.ndarray
+    #: Flow order -> level order.
+    rank: np.ndarray
+    #: Flow order: each entry's position in ``active`` and tile, and
+    #: its columns' link ids (flattened).
+    flow_f: np.ndarray
+    tiles_f: np.ndarray
+    links_f: np.ndarray
+    #: Flow order: where each flow's plan starts, and the plans.
+    starts: List[int]
+    plans: List[np.ndarray]
+    #: Per pair: ``(p, 2)`` link ids and next tiles of its columns, and
+    #: the weights of a forced pair (1.0 on its one column).
+    pair_links: np.ndarray
+    pair_tiles: np.ndarray
+    forced_weights: np.ndarray
+    #: Rows of the free pairs, and those pairs for the policy.
+    free_rows: np.ndarray
+    free_pairs: FreePairs
 
 
 class _Propagation(NamedTuple):
     """Result of pushing every flow through the mesh once."""
 
-    link_load: Dict[Tuple[int, Direction], float]
+    #: ``(size, 2)`` per entry (level order) and column: the rate sent
+    #: on; and the
+    #: same in flow order, flattened.
+    shares: np.ndarray
+    shares_f: np.ndarray
+    #: Per entry: reached, short of its destination, with no live exit.
+    blocked: np.ndarray
+    #: Per tile / per link id (plus a trailing empty slot): total rate.
     router_load: np.ndarray
-    #: Per flow: inflow rate of each router that split it onwards.
-    inflows: List[Dict[int, float]]
-    unroutable: List[bool]
-    #: Destination -> router -> expansion, shared by every flow.
-    expansions: Dict[int, Dict[int, _Expansion]]
+    link_load: np.ndarray
 
 
 class AnalyticalNocModel:
@@ -157,17 +239,15 @@ class AnalyticalNocModel:
             traffic arrives in packet bursts, so links saturate well
             below an average utilisation of 1; router *power* still uses
             the raw average activity.
+
+    Raises:
+        RuntimeError: A forced hop of ``routing`` leaves the mesh.
     """
 
     #: Per-model lookup tables built once in __init__ from the topology
     #: and read-only afterwards (see MeshTopology); _forced is the
     #: policy's forced-hop table.
-    __shared_readonly__ = (
-        "_context_links",
-        "_hops_from",
-        "_free_contexts",
-        "_forced",
-    )
+    __shared_readonly__ = ("_in_links", "_forced")
 
     def __init__(
         self,
@@ -192,24 +272,27 @@ class AnalyticalNocModel:
         self._bw = link_bandwidth
         self._router_noise = router_noise_pct_per_flit
         self._burstiness = burstiness
-        # Per tile: (direction, neighbour, incoming link key, outgoing
-        # link key) for every mesh direction with a neighbour.
-        self._context_links: List[List[tuple]] = []
-        # Per tile: direction -> (outgoing link key, next tile).
-        self._hops_from: List[Dict[Direction, _Hop]] = []
-        for tile in topo.mesh.tiles():
-            links = []
-            for d in topo.out_directions(tile):
-                n = topo.neighbor(tile, d)
-                links.append((d, n, (n, d.opposite), (tile, d)))
-            self._context_links.append(links)
-            self._hops_from.append({d: (out, n) for d, n, _, out in links})
-        # Context-free policies never read a context: one shared empty
-        # one stands in for every router.
-        self._free_contexts = [RoutingContext()] * topo.mesh.tile_count
+        n = topo.mesh.tile_count
+        #: Link ids run to n * _PORTS; one more slot stays 0.0 and
+        #: stands for "no link".
+        self._no_link = n * _PORTS
+        self._link_keys = [(t, d) for t in range(n) for d in PORT_DIRECTIONS]
+        # Per tile: the ids of its incoming links, padded with no-link.
+        nbr = topo.neighbor_codes()
+        in_links = np.full((n, len(MESH_DIRECTIONS)), self._no_link)
+        for tile in range(n):
+            for i, d in enumerate(topo.out_directions(tile)):
+                other = int(nbr[tile, PORT_CODES[d]])
+                in_links[tile, i] = other * _PORTS + OPPOSITE_CODES[
+                    PORT_CODES[d]
+                ]
+        self._in_links = in_links
         # Hops with one permissible direction take {D: 1.0} from here
         # instead of asking the policy (see RoutingAlgorithm).
         self._forced = routing.forced_hops(topo)
+        self._plans = _PLANS.setdefault(
+            (permissible_owner(routing), topo.mesh), {}
+        )
 
     @property
     def routing(self) -> RoutingAlgorithm:
@@ -247,6 +330,10 @@ class AnalyticalNocModel:
 
         Returns:
             The :class:`NocLoadReport`.
+
+        Raises:
+            ValueError: Bad array shapes or tile ids, or the policy
+                names a hop outside its ``permissible`` set.
         """
         n_tiles = self._topo.mesh.tile_count
         if psn_pct is None:
@@ -258,275 +345,413 @@ class AnalyticalNocModel:
             psn_valid = np.asarray(psn_valid, dtype=bool)
             if psn_valid.shape != (n_tiles,):
                 raise ValueError(f"psn_valid must have shape ({n_tiles},)")
-        dead_links = dead_links or set()
         dead_routers = dead_routers or set()
-        for f in flows:
-            self._topo.mesh._check_tile(f.src)
-            self._topo.mesh._check_tile(f.dst)
-
+        check = self._topo.mesh._check_tile
+        active = []
+        cut = set()
+        for i, f in enumerate(flows):
+            src, dst = f.src, f.dst
+            if not (0 <= src < n_tiles and 0 <= dst < n_tiles):
+                check(src)
+                check(dst)
+            if f.rate <= 0.0 or src == dst:
+                continue
+            if src in dead_routers or dst in dead_routers:
+                cut.add(i)
+            else:
+                active.append(i)
+        stats: List[Optional[FlowStats]] = [None] * len(flows)
+        if not active:
+            return NocLoadReport(
+                router_flits_per_cycle=np.zeros(n_tiles),
+                link_rho={},
+                flows=self._idle_stats(stats, cut),
+                saturated=False,
+            )
+        lay = self._layout(flows, active)
+        alive = self._alive_columns(lay, dead_links, dead_routers)
+        rates = np.array([flows[i].rate for i in active])
         if self._routing.context_free:
             # Weights that read no context route identically on every
             # fixed-point iteration, so the first propagation is final.
-            prop = self._propagate(
-                flows, self._free_contexts, dead_links, dead_routers
-            )
+            prop = self._propagate(lay, rates, self._weights(lay, None, alive))
         else:
-            prop = self._fixed_point(
-                flows, psn_pct, psn_valid, dead_links, dead_routers
-            )
+            prop = self._fixed_point(lay, rates, psn_pct, psn_valid, alive)
 
+        scaled = prop.link_load * self._burstiness / self._bw
+        rho = np.minimum(scaled, RHO_MAX)
+        order = self._touch_order(lay, prop)
+        keys = self._link_keys
         link_rho = {
-            link: min(load * self._burstiness / self._bw, RHO_MAX)
-            for link, load in prop.link_load.items()
+            keys[link]: r
+            for link, r in zip(order.tolist(), rho[order].tolist())
         }
-        saturated = any(
-            load * self._burstiness / self._bw > RHO_MAX
-            for load in prop.link_load.values()
-        )
-        flow_stats = [
-            self._flow_latency(
-                f,
-                inflow,
-                prop.expansions.get(f.dst),
-                link_rho,
-                per_hop_cycles,
-                blocked,
-            )
-            for f, inflow, blocked in zip(
-                flows, prop.inflows, prop.unroutable
-            )
-        ]
+        hops, latency, worst = self._latency(lay, prop, rho, per_hop_cycles)[
+            : len(active)
+        ].T
+        unroutable = np.bincount(
+            lay.flow_f[prop.blocked[lay.rank]], minlength=len(active)
+        ).tolist()
+        for i, h, l, w, u in zip(
+            active, hops.tolist(), latency.tolist(), worst.tolist(), unroutable
+        ):
+            stats[i] = FlowStats(h, l, w, unroutable=u > 0)
         return NocLoadReport(
             router_flits_per_cycle=prop.router_load,
             link_rho=link_rho,
-            flows=flow_stats,
-            saturated=saturated,
+            flows=self._idle_stats(stats, cut),
+            saturated=bool((scaled > RHO_MAX).any()),
         )
+
+    @staticmethod
+    def _idle_stats(
+        stats: List[Optional[FlowStats]], cut: Set[int]
+    ) -> List[FlowStats]:
+        """Fill in the flows that carry nothing: zero-rate and self
+        flows, and (unroutable) flows with a dead endpoint."""
+        return [
+            FlowStats(0.0, 0.0, 0.0, unroutable=i in cut) if s is None else s
+            for i, s in enumerate(stats)
+        ]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _fixed_point(
+    def _plan(self, src: int, dst: int) -> np.ndarray:
+        """The (src, dst) plan: minimal-DAG rows in level order, a
+        level's nodes in the order a share first reaches them when every
+        edge carries one."""
+        topo = self._topo
+        routing = self._routing
+        forced = self._forced
+        nbr = topo.neighbor_codes()
+        rows = [[src, 0] + [-1] * (_PLAN_WIDTH - 2)]
+        index = {src: 0}
+        level = [src]
+        depth = 0
+        while level:
+            depth += 1
+            reached = []
+            for node in level:
+                if node == dst:
+                    continue
+                code = forced.item(node, dst)
+                if code >= 0:
+                    dirs = [PORT_DIRECTIONS[code]]
+                else:
+                    dirs = routing.permissible(topo, node, dst)
+                productive = topo.direction_towards(node, dst)
+                for d in dirs:
+                    if d not in productive or dirs.count(d) > 1:
+                        reject_hop(routing, node, dst, d)
+                codes = [PORT_CODES[d] for d in dirs]
+                row = rows[index[node]]
+                for col, code in enumerate(codes):
+                    child = int(nbr[node, code])
+                    at = index.get(child)
+                    if at is None:
+                        at = index[child] = len(rows)
+                        rows.append([child, depth] + [-1] * (_PLAN_WIDTH - 2))
+                        reached.append(child)
+                    row[_CODE + col] = code
+                    row[_CHILD + col] = at
+                    child_row = rows[at]
+                    slot = _IN if child_row[_IN] < 0 else _IN + 1
+                    child_row[slot] = 2 * index[node] + col
+            level = reached
+        # int32 halves the cache; _layout widens the rows it reads.
+        plan = np.array(rows, dtype=np.int32)
+        plan.setflags(write=False)
+        self._plans[(src, dst)] = plan
+        return plan
+
+    def _layout(self, flows: Sequence[Flow], active: List[int]) -> _Layout:
+        """Concatenate the plans of the routable flows ``active``."""
+        plans = self._plans
+        chosen = []
+        for i in active:
+            f = flows[i]
+            plan = plans.get((f.src, f.dst))
+            if plan is None:
+                plan = self._plan(f.src, f.dst)
+            chosen.append(plan)
+        sizes = [len(plan) for plan in chosen]
+        size = sum(sizes)
+        starts = np.cumsum([0] + sizes[:-1])
+        table = np.concatenate(chosen).astype(np.int64)
+        offset = np.repeat(starts, sizes)
+        flow_f = np.repeat(np.arange(len(active)), sizes)
+        dst_f = np.repeat([flows[i].dst for i in active], sizes)
+        tiles_f = table[:, _TILE]
+        # Level order -> flow order, and back (plus the empty slot).
+        order = np.argsort(table[:, _LEVEL], kind="stable")
+        rank = np.empty(size + 1, dtype=np.int64)
+        rank[order] = np.arange(size)
+        rank[size] = size
+        shift = offset[order, None]
+        local = table[order, _CHILD : _CHILD + 2]
+        children = np.where(local >= 0, rank[local + shift], size)
+        local = table[order, _IN : _IN + 2]
+        edges = np.where(
+            local >= 0, 2 * rank[local // 2 + shift] + local % 2, 2 * size
+        )
+        ends = np.cumsum(np.bincount(table[order, _LEVEL])).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+
+        # One row per (router, destination) pair the plans reach.
+        _, first, pair_f = np.unique(
+            tiles_f * self._topo.mesh.tile_count + dst_f,
+            return_index=True,
+            return_inverse=True,
+        )
+        cur = tiles_f[first]
+        dst = dst_f[first]
+        codes = table[first, _CODE : _CODE + 2]
+        used = codes >= 0
+        pair_tiles = np.where(
+            used, self._topo.neighbor_codes()[cur[:, None], codes], -1
+        )
+        pair_links = np.where(
+            used, cur[:, None] * _PORTS + codes, self._no_link
+        )
+        forced = self._forced[cur, dst]
+        free = forced == FREE_HOP
+        forced_weights = np.zeros(codes.shape)
+        forced_weights[(forced >= 0) & (cur != dst), 0] = 1.0
+        pair = pair_f[order]
+        return _Layout(
+            bounds=bounds,
+            in0=edges[:, 0].copy(),
+            in1=edges[:, 1].copy(),
+            children=children,
+            links=pair_links[pair],
+            pair=pair,
+            is_dst=(cur == dst)[pair],
+            flow_f=flow_f,
+            rank=rank[:size],
+            tiles_f=tiles_f,
+            links_f=pair_links[pair_f].ravel(),
+            starts=starts.tolist(),
+            plans=chosen,
+            pair_links=pair_links,
+            pair_tiles=pair_tiles,
+            forced_weights=forced_weights,
+            free_rows=np.flatnonzero(free),
+            free_pairs=FreePairs(
+                cur[free], dst[free], codes[free], pair_tiles[free],
+                pair_links[free],
+            ),
+        )
+
+    def _alive_columns(
         self,
-        flows: Sequence[Flow],
+        lay: _Layout,
+        dead_links: Optional[Set[Tuple[int, Direction]]],
+        dead_routers: Set[int],
+    ) -> Optional[np.ndarray]:
+        """Per pair column: False over a failed link or into a failed
+        router; None without faults."""
+        if not dead_links and not dead_routers:
+            return None
+        dead = [t * _PORTS + PORT_CODES[d] for t, d in dead_links or ()]
+        return ~np.isin(lay.pair_links, dead) & ~np.isin(
+            lay.pair_tiles, sorted(dead_routers)
+        )
+
+    def _weights(
+        self,
+        lay: _Layout,
+        contexts: Optional[RouterContexts],
+        alive: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per entry: its columns' weights, their total, and whether it
+        has no live exit (the weights of such an entry are all 0.0 and
+        its total 1.0, so it sends nothing on)."""
+        weights = lay.forced_weights
+        if len(lay.free_rows):
+            weights = weights.copy()
+            weights[lay.free_rows] = self._routing.weight_columns(
+                self._topo, lay.free_pairs, contexts
+            )
+        if alive is not None:
+            # Route around dead components: their columns drop out.
+            # When every column is dead the flow's remaining rate dies
+            # there and the flow is unroutable (the runtime re-maps it).
+            weights = np.where(alive, weights, 0.0)
+        total = weights[:, 0] + weights[:, 1]
+        live = total > 0
+        weights = np.where(live[:, None], np.maximum(weights, 0.0), 0.0)
+        total = np.where(live, total, 1.0)
+        return weights[lay.pair], total[lay.pair], ~live[lay.pair]
+
+    def _contexts(
+        self,
+        link_load: np.ndarray,
+        router_load: np.ndarray,
         psn_pct: np.ndarray,
         psn_valid: Optional[np.ndarray],
-        dead_links: Set[Tuple[int, Direction]],
-        dead_routers: Set[int],
+    ) -> RouterContexts:
+        """Every router's context from the previous iteration's loads."""
+        incoming = link_load[self._in_links].max(axis=1)
+        return RouterContexts(
+            occupancy=np.minimum(1.0, incoming * self._burstiness / self._bw),
+            data_rate=router_load,
+            # The sensors a real PANR consults see the *current* noise,
+            # which includes the router activity the routing itself
+            # creates; feeding the running load estimate back here lets
+            # the fixed point co-converge instead of funnelling all
+            # traffic through one "quiet" corridor.
+            psn_pct=psn_pct + self._router_noise * router_load,
+            psn_valid=psn_valid,
+            out_rho=np.minimum(link_load * self._burstiness / self._bw, 1.0),
+        )
+
+    def _fixed_point(
+        self,
+        lay: _Layout,
+        rates: np.ndarray,
+        psn_pct: np.ndarray,
+        psn_valid: Optional[np.ndarray],
+        alive: Optional[np.ndarray],
     ) -> _Propagation:
         """Iterate context-dependent routing against its own loads."""
         # Relaxed copies fed to the routing contexts: adaptive policies
         # with sharp argmin selection can oscillate between iterations
         # (all flow flips to the quiet side, which then becomes the loud
         # side); under-relaxation damps the fixed point.
-        ctx_link: Dict[Tuple[int, Direction], float] = {}
-        ctx_router = np.zeros(self._topo.mesh.tile_count)
+        link_load = np.zeros(self._no_link + 1)
+        router_load = np.zeros(self._topo.mesh.tile_count)
         for it in range(self._iterations):
-            contexts = self._build_contexts(
-                ctx_link, ctx_router, psn_pct, psn_valid
+            contexts = self._contexts(
+                link_load, router_load, psn_pct, psn_valid
             )
-            prop = self._propagate(flows, contexts, dead_links, dead_routers)
+            weighted = self._weights(lay, contexts, alive)
+            prop = self._propagate(lay, rates, weighted)
             blend = 0.5 if it else 1.0
-            ctx_link = {
-                k: (1 - blend) * ctx_link.get(k, 0.0)
-                + blend * prop.link_load.get(k, 0.0)
-                for k in {**ctx_link, **prop.link_load}
-            }
-            ctx_router = (1 - blend) * ctx_router + blend * prop.router_load
+            link_load = (1 - blend) * link_load + blend * prop.link_load
+            router_load = (1 - blend) * router_load + blend * prop.router_load
         return prop
-
-    def _build_contexts(
-        self,
-        link_load: Dict[Tuple[int, Direction], float],
-        router_load: np.ndarray,
-        psn_pct: np.ndarray,
-        psn_valid: Optional[np.ndarray] = None,
-    ) -> List[RoutingContext]:
-        """Per-router routing contexts from the previous iteration."""
-        router_rate = router_load.tolist()
-        psn = psn_pct.tolist()
-        valid = None if psn_valid is None else psn_valid.tolist()
-        contexts = []
-        for tile, links in enumerate(self._context_links):
-            incoming = [link_load.get(key, 0.0) for _, _, key, _ in links]
-            occupancy = (
-                min(1.0, max(incoming) * self._burstiness / self._bw)
-                if incoming
-                else 0.0
-            )
-            rates = {}
-            noise = {}
-            trusted = {}
-            out_rho = {}
-            for d, n, _, out_key in links:
-                rates[d] = router_rate[n]
-                if valid is not None:
-                    trusted[d] = valid[n]
-                # The sensors a real PANR consults see the *current*
-                # noise, which includes the router activity the routing
-                # itself creates; feeding the running load estimate back
-                # here lets the fixed point co-converge instead of
-                # funnelling all traffic through one "quiet" corridor.
-                noise[d] = psn[n] + self._router_noise * router_rate[n]
-                out_rho[d] = min(
-                    link_load.get(out_key, 0.0) * self._burstiness / self._bw,
-                    1.0,
-                )
-            contexts.append(
-                RoutingContext(
-                    buffer_occupancy=occupancy,
-                    neighbor_data_rate=rates,
-                    neighbor_psn_pct=noise,
-                    neighbor_psn_valid=trusted,
-                    out_link_rho=out_rho,
-                )
-            )
-        return contexts
 
     def _propagate(
         self,
-        flows: Sequence[Flow],
-        contexts: List[RoutingContext],
-        dead_links: Set[Tuple[int, Direction]],
-        dead_routers: Set[int],
+        lay: _Layout,
+        rates: np.ndarray,
+        weighted: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> _Propagation:
-        topo = self._topo
-        weights_of = self._routing.weights
-        forced = self._forced
-        hops_from = self._hops_from
-        faulty = bool(dead_links or dead_routers)
-        link_load: Dict[Tuple[int, Direction], float] = {}
-        router_load = [0.0] * topo.mesh.tile_count
-        inflows: List[Dict[int, float]] = []
-        unroutable: List[bool] = []
-        # The contexts are fixed for this propagation, so one router's
-        # weights towards one destination are too: expand each
-        # (router, destination) pair once.
-        expansions: Dict[int, Dict[int, _Expansion]] = {}
-
-        for flow in flows:
-            inflow: Dict[int, float] = {}
-            blocked = False
-            dst = flow.dst
-            if flow.rate <= 0.0 or flow.src == dst:
-                inflows.append(inflow)
-                unroutable.append(False)
-                continue
-            if faulty and (flow.src in dead_routers or dst in dead_routers):
-                inflows.append(inflow)
-                unroutable.append(True)
-                continue
-            # Expand nodes a distance level at a time, farthest from dst
-            # first: each minimal hop reduces the distance by one, so
-            # every node's inflow is complete once the level above it
-            # is done.  Within a level, nodes go in first-arrival order.
-            expanded = expansions.setdefault(dst, {})
-            level: Dict[int, float] = {flow.src: flow.rate}
-            while level:
-                pending: Dict[int, float] = {}
-                for node, rate in level.items():
-                    router_load[node] += rate
-                    if node == dst:
-                        continue
-                    exits = hops_from[node]
-                    expansion = expanded.get(node)
-                    if expansion is None:
-                        code = forced.item(node, dst)
-                        if code >= 0:
-                            weights = _FORCED_WEIGHTS[code]
-                        else:
-                            weights = weights_of(
-                                topo, node, dst, contexts[node]
-                            )
-                        if faulty:
-                            # Route around dead components: drop
-                            # directions over a failed link or into a
-                            # failed router.  When every permissible
-                            # direction is dead the flow's remaining rate
-                            # dies here and the flow is declared
-                            # unroutable (the runtime re-maps the owning
-                            # application).
-                            weights = {
-                                d: w
-                                for d, w in weights.items()
-                                if (node, d) not in dead_links
-                                and exits[d][1] not in dead_routers
-                            }
-                        expansion = (weights, sum(weights.values()))
-                        expanded[node] = expansion
-                    weights, total = expansion
-                    if total <= 0:
-                        blocked = True
-                        continue
-                    for d, w in weights.items():
-                        link, nxt = exits[d]
-                        share = rate * w / total
-                        if share <= 0:
-                            continue
-                        link_load[link] = link_load.get(link, 0.0) + share
-                        pending[nxt] = pending.get(nxt, 0.0) + share
-                    inflow[node] = rate
-                level = pending
-            inflows.append(inflow)
-            unroutable.append(blocked)
+        """Push every flow through its plan, one level at a time."""
+        weights, total, dead_end = weighted
+        size = len(lay.pair)
+        inflow = np.zeros(size)
+        inflow[: len(rates)] = rates
+        flat = np.zeros(2 * size + 1)
+        shares = flat[:-1].reshape(size, 2)
+        in0, in1 = lay.in0, lay.in1
+        for start, stop in lay.bounds:
+            if start:
+                # At most two parents: the same sum in either order.
+                inflow[start:stop] = (
+                    flat[in0[start:stop]] + flat[in1[start:stop]]
+                )
+            shares[start:stop] = (
+                inflow[start:stop, None] * weights[start:stop]
+            ) / total[start:stop, None]
+        # Totals add the flows in input order, as entries in flow order.
+        shares_f = shares[lay.rank].ravel()
         return _Propagation(
-            link_load, np.array(router_load), inflows, unroutable, expansions
+            shares=shares,
+            shares_f=shares_f,
+            blocked=dead_end & (inflow > 0) & ~lay.is_dst,
+            router_load=np.bincount(
+                lay.tiles_f,
+                weights=inflow[lay.rank],
+                minlength=self._topo.mesh.tile_count,
+            ),
+            link_load=np.bincount(
+                lay.links_f, weights=shares_f, minlength=self._no_link + 1
+            ),
         )
 
-    def _flow_latency(
+    def _touch_order(self, lay: _Layout, prop: _Propagation) -> np.ndarray:
+        """Link ids in the order the dict walk first touches them."""
+        touched = prop.shares_f > 0
+        idle = touched < (lay.links_f < self._no_link)
+        if not idle.any():
+            # Every edge carries a share: each plan's own order holds.
+            seq = lay.links_f[touched]
+        else:
+            # Where an edge carries nothing, a node can lose the incoming
+            # edge that placed it in its level: walk those flows again.
+            walked = set(lay.flow_f[np.flatnonzero(idle) // 2].tolist())
+            parts = []
+            done = 0
+            for j in sorted(walked):
+                start = 2 * lay.starts[j]
+                stop = start + 2 * len(lay.plans[j])
+                parts.append(lay.links_f[done:start][touched[done:start]])
+                parts.append(self._walk(lay, prop, j, start, stop))
+                done = stop
+            parts.append(lay.links_f[done:][touched[done:]])
+            seq = np.concatenate(parts)
+        _, first = np.unique(seq, return_index=True)
+        return seq[np.sort(first)]
+
+    @staticmethod
+    def _walk(
+        lay: _Layout, prop: _Propagation, j: int, start: int, stop: int
+    ) -> np.ndarray:
+        """Flow ``j``'s touched links in dict-walk order: a level's nodes
+        in the order their first share arrived."""
+        children = lay.plans[j][:, _CHILD : _CHILD + 2].tolist()
+        share = prop.shares_f[start:stop].tolist()
+        links = lay.links_f[start:stop].tolist()
+        out = []
+        level = [0]
+        while level:
+            reached: Dict[int, None] = {}
+            for node in level:
+                for col in (0, 1):
+                    if share[2 * node + col] > 0:
+                        out.append(links[2 * node + col])
+                        reached[children[node][col]] = None
+            level = list(reached)
+        return np.array(out, dtype=np.int64)
+
+    def _latency(
         self,
-        flow: Flow,
-        inflow: Dict[int, float],
-        expanded: Optional[Dict[int, _Expansion]],
-        link_rho: Dict[Tuple[int, Direction], float],
+        lay: _Layout,
+        prop: _Propagation,
+        rho: np.ndarray,
         per_hop_cycles: float,
-        unroutable: bool = False,
-    ) -> FlowStats:
-        if flow.src == flow.dst or flow.rate <= 0.0 or not inflow:
-            return FlowStats(
-                avg_hops=0.0,
-                header_latency_cycles=0.0,
-                max_rho=0.0,
-                unroutable=unroutable,
-            )
-        # Dynamic programming from dst outward over the split DAG.
-        # _propagate recorded nodes farthest-first, level by level, and a
-        # node reads only nodes one hop nearer dst, so the reverse order
-        # has every input ready.
-        hops: Dict[int, float] = {flow.dst: 0.0}
-        lat: Dict[int, float] = {flow.dst: 0.0}
-        worst: Dict[int, float] = {flow.dst: 0.0}
-        for node in reversed(inflow):
-            # Re-derive the node's split exactly as _propagate made it.
-            rate = inflow[node]
-            weights, weight_total = expanded[node]
-            exits = self._hops_from[node]
-            shares = []
-            for d, w in weights.items():
-                link, nxt = exits[d]
-                share = rate * w / weight_total
-                if share <= 0:
-                    continue
-                shares.append((share, link, nxt))
-            total = sum(share for share, _, _ in shares)
-            if total <= 0:
-                continue
-            h = l = 0.0
-            w_max = 0.0
-            for share, link, nxt in shares:
-                rho = link_rho.get(link, 0.0)
-                queue = rho / (2.0 * (1.0 - min(rho, RHO_MAX)))
-                frac = share / total
-                h += frac * (1.0 + hops.get(nxt, 0.0))
-                l += frac * (per_hop_cycles + queue + lat.get(nxt, 0.0))
-                w_max = max(w_max, rho, worst.get(nxt, 0.0))
-            hops[node] = h
-            lat[node] = l
-            worst[node] = w_max
-        return FlowStats(
-            avg_hops=hops.get(flow.src, 0.0),
-            header_latency_cycles=lat.get(flow.src, 0.0),
-            max_rho=worst.get(flow.src, 0.0),
-            unroutable=unroutable,
+    ) -> np.ndarray:
+        """Per entry (a flow's source first): mean hops, header latency
+        and worst link utilisation onwards, as ``(size + 1, 3)`` rows, by
+        dynamic programming from each destination back over the split
+        DAG, a level at a time."""
+        # Shares are never negative: a column that sends nothing holds
+        # 0.0 and adds nothing to a sum.
+        shares = prop.shares
+        sent = shares > 0
+        total = shares[:, 0] + shares[:, 1]
+        frac = shares / np.where(total > 0, total, 1.0)[:, None]
+        link_rho = np.where(sent, rho[lay.links], 0.0)
+        # Per column: the hop and the latency it adds before the child's
+        # own (the pipeline plus the link's M/D/1 queueing delay).
+        step = np.empty(sent.shape + (2,))
+        step[:, :, 0] = 1.0
+        step[:, :, 1] = per_hop_cycles + link_rho / (
+            2.0 * (1.0 - np.minimum(link_rho, RHO_MAX))
         )
+        frac = frac[:, :, None]
+        # Per entry: hops, latency, worst rho; one more row of zeros
+        # stands for "no child".
+        size = len(lay.pair)
+        values = np.zeros((size + 1, 3))
+        for start, stop in reversed(lay.bounds):
+            ahead = values[lay.children[start:stop]]
+            terms = frac[start:stop] * (step[start:stop] + ahead[:, :, :2])
+            values[start:stop, :2] = terms[:, 0] + terms[:, 1]
+            values[start:stop, 2] = np.maximum(
+                link_rho[start:stop], ahead[:, :, 2] * sent[start:stop]
+            ).max(axis=1)
+        return values

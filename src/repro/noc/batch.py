@@ -171,9 +171,8 @@ class BatchedNocEngine:
         mesh: Tile mesh (shared by every lane).
         routing: Routing policy (context-free or adaptive).
         n_lanes: Number of independent simulations ``S``.
-        psn_pct: Optional PSN sensor readings for PSN-aware policies
-            (zeros if omitted): ``(n,)`` applies the same field to
-            every lane, ``(S, n)`` gives each lane its own.
+        psn_pct: Optional ``(n,)`` PSN sensor readings for PSN-aware
+            policies, the same field for every lane (zeros if omitted).
     """
 
     #: Topology-derived lookup tables, shared by every lane and
@@ -219,17 +218,11 @@ class BatchedNocEngine:
         self._n_lanes = s
         self._n_tiles = flat
         if psn_pct is None:
-            self._psn = np.zeros((s, n))
+            self._psn = np.zeros(n)
         else:
-            psn = np.asarray(psn_pct, float)
-            if psn.shape == (n,):
-                self._psn = np.tile(psn, (s, 1))
-            elif psn.shape == (s, n):
-                self._psn = psn.copy()
-            else:
-                raise ValueError(
-                    "psn_pct must be (tiles,) shared or (lanes, tiles)"
-                )
+            self._psn = np.array(psn_pct, float)
+            if self._psn.shape != (n,):
+                raise ValueError(f"psn_pct must have shape ({n},)")
         #: Per-flat-tile incoming data rate of the last complete window.
         self._rates = np.zeros(flat)
         self._cycle = 0
@@ -315,9 +308,7 @@ class BatchedNocEngine:
             )
             for t in range(n)
         ]
-        self._psn_dicts: List[Optional[Dict[Direction, float]]] = (
-            [None] * flat
-        )
+        self._psn_dicts: List[Optional[Dict[Direction, float]]] = [None] * n
         self._rate_dicts: List[Optional[Dict[Direction, float]]] = (
             [None] * flat
         )
@@ -765,10 +756,9 @@ class BatchedNocEngine:
         ``t_idx`` are flat tiles, ``dsts`` in-mesh destinations (never
         the tile itself: ejection is a forced hop).  The context is the
         oracle's: the deciding input port's occupancy, each output's
-        downstream input-port occupancy, and the lane's neighbour PSN
-        and data rates.
+        downstream input-port occupancy, the neighbour PSN (one field
+        for every lane) and the lane's neighbour data rates.
         """
-        n = self._n_local
         depth = BUFFER_DEPTH
         occ = self._occ_flits
         local = self._tile_local.take(t_idx).tolist()
@@ -782,11 +772,10 @@ class BatchedNocEngine:
         decisions = zip(t_idx.tolist(), local, dsts.tolist())
         for k, (tile, cur, dst) in enumerate(decisions):
             adj = self._adjacency[cur]
-            psn = self._psn_dicts[tile]
+            psn = self._psn_dicts[cur]
             if psn is None:
-                row = self._psn[tile // n]
-                psn = self._psn_dicts[tile] = {
-                    d: float(row[nb]) for d, nb, _ in adj
+                psn = self._psn_dicts[cur] = {
+                    d: float(self._psn[nb]) for d, nb, _ in adj
                 }
             rates = self._rate_dicts[tile]
             if rates is None:

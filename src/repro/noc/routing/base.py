@@ -9,6 +9,10 @@ A routing algorithm answers two questions at each router:
   directions given the router's local view (buffer occupancy, neighbour
   data rates, neighbour PSN sensor readings).
 
+The analytical model asks the second question for many routers at once
+through :meth:`RoutingAlgorithm.weight_columns`, whose default answers
+it with one ``weights`` call per router.
+
 The flit-level engine (:mod:`repro.noc.batch`) picks the argmax-weight
 direction per packet; the analytical model splits flows fractionally
 by the same weights, so both models express one policy.  Where
@@ -22,12 +26,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple
 
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
-from repro.noc.topology import Direction, MeshTopology, PORT_CODES
+from repro.noc.topology import (
+    Direction,
+    MeshTopology,
+    PORT_CODES,
+    PORT_DIRECTIONS,
+)
 
 #: Tie-break rank of each direction in :meth:`RoutingAlgorithm.select`
 #: (the earlier direction wins a weight tie).
@@ -71,6 +80,107 @@ class RoutingContext:
     def psn_trusted(self, direction: Direction) -> bool:
         """Whether the PSN reading toward ``direction`` is trustworthy."""
         return self.neighbor_psn_valid.get(direction, True)
+
+
+#: The context every router of a context-free policy is handed.
+_EMPTY_CONTEXT = RoutingContext()
+
+
+class FreePairs(NamedTuple):
+    """(router, destination) pairs where the policy has a choice, one row
+    a pair, with each pair's permissible directions as two *columns* in
+    :meth:`RoutingAlgorithm.permissible` order.  A minimal route offers
+    at most two directions; unused columns hold -1.
+
+    Link ids are ``tile * len(PORT_DIRECTIONS) + port code`` (see
+    :data:`repro.noc.topology.PORT_CODES`).
+    """
+
+    cur: np.ndarray
+    dst: np.ndarray
+    #: ``(p, 2)`` port codes of the columns.
+    codes: np.ndarray
+    #: ``(p, 2)`` neighbour tile each column leads to.
+    tiles: np.ndarray
+    #: ``(p, 2)`` outgoing link id of each column.
+    links: np.ndarray
+
+
+class RouterContexts(NamedTuple):
+    """The :class:`RoutingContext` of every router at once, as arrays.
+
+    A router's context towards direction ``d`` reads the entry of the
+    neighbour tile (``neighbor_data_rate``, ``neighbor_psn_pct``,
+    ``neighbor_psn_valid``) or of its outgoing link (``out_link_rho``).
+    """
+
+    #: ``(tiles,)`` buffer occupancy of each router.
+    occupancy: np.ndarray
+    #: ``(tiles,)`` incoming data rate of each router.
+    data_rate: np.ndarray
+    #: ``(tiles,)`` PSN reading of each tile.
+    psn_pct: np.ndarray
+    #: ``(tiles,)`` sensor trust per tile, or None when all are valid.
+    psn_valid: Optional[np.ndarray]
+    #: Utilisation per link id (see :class:`FreePairs`).
+    out_rho: np.ndarray
+
+    def context(self, topo: MeshTopology, cur: int) -> RoutingContext:
+        """Router ``cur``'s :class:`RoutingContext`, over every mesh
+        direction with a neighbour."""
+        rates = {}
+        noise = {}
+        trusted = {}
+        out_rho = {}
+        ports = len(PORT_DIRECTIONS)
+        for d in topo.out_directions(cur):
+            n = topo.neighbor(cur, d)
+            rates[d] = self.data_rate.item(n)
+            noise[d] = self.psn_pct.item(n)
+            if self.psn_valid is not None:
+                trusted[d] = bool(self.psn_valid[n])
+            out_rho[d] = self.out_rho.item(cur * ports + PORT_CODES[d])
+        return RoutingContext(
+            buffer_occupancy=self.occupancy.item(cur),
+            neighbor_data_rate=rates,
+            neighbor_psn_pct=noise,
+            neighbor_psn_valid=trusted,
+            out_link_rho=out_rho,
+        )
+
+
+def soft_argmin_columns(metric: np.ndarray, out_rho: np.ndarray) -> np.ndarray:
+    """PANR's and ICON's weights as arrays: ``1 / (m - min m + 0.4) ** 2``
+    per column, gated by ``max(0.05, 1 - rho)``.
+
+    The squares are Python ``**`` (C ``pow``), as in ``weights``:
+    ``np.power(x, 2.0)`` rounds like ``x * x``, which differs from
+    ``pow`` in the last bit for some ``x``.  Every other step rounds the
+    same in NumPy as in Python, so each weight is bit-identical.
+    """
+    best = metric.min(axis=1, keepdims=True)
+    base = (metric - best + 0.4).ravel().tolist()
+    squares = np.array([x ** 2 for x in base]).reshape(metric.shape)
+    return 1.0 / squares * np.maximum(0.05, 1.0 - out_rho)
+
+
+def reject_hop(
+    routing: "RoutingAlgorithm", cur: int, dst: int, direction: object
+) -> NoReturn:
+    """Reject a hop that is not one of the policy's permissible minimal
+    directions (a non-minimal hop would never reach ``dst``)."""
+    raise ValueError(
+        f"{routing.name} routing at router {cur} towards {dst} names "
+        f"{direction!r}, which is not one of its permissible minimal hops"
+    )
+
+
+def permissible_owner(routing: "RoutingAlgorithm") -> type:
+    """The class that defines ``routing``'s :meth:`permissible`: tables
+    built from ``permissible`` alone are shared per (owner, mesh)."""
+    return next(
+        cls for cls in type(routing).__mro__ if "permissible" in vars(cls)
+    )
 
 
 class RoutingAlgorithm(abc.ABC):
@@ -136,6 +246,44 @@ class RoutingAlgorithm(abc.ABC):
             return Direction.LOCAL
         return max(weights, key=lambda d: (weights[d], -_TIE_RANK[d]))
 
+    def weight_columns(
+        self,
+        topo: MeshTopology,
+        pairs: FreePairs,
+        contexts: Optional[RouterContexts],
+    ) -> np.ndarray:
+        """:meth:`weights` of many free pairs at once, as a ``(p, 2)``
+        array over each pair's columns (0.0 where a column is unused or
+        the policy names no weight).
+
+        ``contexts`` is None for a context-free policy.  The default
+        calls :meth:`weights` once per pair, with the shared empty
+        context or the router's context built from ``contexts``; an
+        adaptive policy may override this with array arithmetic that
+        gives the same floats.
+
+        Raises:
+            ValueError: The weights name a direction outside
+                :meth:`permissible` at a pair.
+        """
+        out = np.zeros(pairs.codes.shape)
+        built: Dict[int, RoutingContext] = {}
+        for row, (cur, dst, codes) in enumerate(
+            zip(pairs.cur.tolist(), pairs.dst.tolist(), pairs.codes.tolist())
+        ):
+            if contexts is None:
+                ctx = _EMPTY_CONTEXT
+            else:
+                ctx = built.get(cur)
+                if ctx is None:
+                    ctx = built[cur] = contexts.context(topo, cur)
+            for d, w in self.weights(topo, cur, dst, ctx).items():
+                code = PORT_CODES.get(d, -1)
+                if code < 0 or code not in codes:
+                    reject_hop(self, cur, dst, d)
+                out[row, codes.index(code)] = w
+        return out
+
     def forced_hops(self, topo: MeshTopology) -> np.ndarray:
         """Read-only ``(n, n)`` int8 table of forced port codes.
 
@@ -151,10 +299,7 @@ class RoutingAlgorithm(abc.ABC):
         Raises:
             RuntimeError: A forced hop leaves the mesh.
         """
-        owner = next(
-            cls for cls in type(self).__mro__ if "permissible" in vars(cls)
-        )
-        key = (owner, topo.mesh)
+        key = (permissible_owner(self), topo.mesh)
         table = _FORCED_TABLES.get(key)
         if table is None:
             table = self._build_forced_hops(topo)

@@ -21,9 +21,16 @@ up, in the analytical model's propagation step.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.noc.routing.base import RoutingContext
+import numpy as np
+
+from repro.noc.routing.base import (
+    FreePairs,
+    RouterContexts,
+    RoutingContext,
+    soft_argmin_columns,
+)
 from repro.noc.routing.west_first import WestFirstRouting
 from repro.noc.topology import Direction, MeshTopology
 
@@ -58,3 +65,18 @@ class IconRouting(WestFirstRouting):
             d: w * max(0.05, 1.0 - ctx.out_link_rho.get(d, 0.0))
             for d, w in weights.items()
         }
+
+    def weight_columns(
+        self,
+        topo: MeshTopology,
+        pairs: FreePairs,
+        contexts: Optional[RouterContexts],
+    ) -> np.ndarray:
+        """:meth:`weights` of every free pair as one array computation."""
+        if contexts is None or type(self).weights is not IconRouting.weights:
+            return super().weight_columns(topo, pairs, contexts)
+        out = soft_argmin_columns(
+            contexts.data_rate[pairs.tiles], contexts.out_rho[pairs.links]
+        )
+        out[pairs.codes < 0] = 0.0
+        return out

@@ -29,9 +29,16 @@ entire sensor network faulted, PANR's routes collapse exactly onto XY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.noc.routing.base import RoutingContext
+import numpy as np
+
+from repro.noc.routing.base import (
+    FreePairs,
+    RouterContexts,
+    RoutingContext,
+    soft_argmin_columns,
+)
 from repro.noc.routing.west_first import WestFirstRouting
 from repro.noc.routing.xy import XYRouting
 from repro.noc.topology import Direction, MeshTopology
@@ -97,3 +104,30 @@ class PanrRouting(WestFirstRouting):
             d: w * max(0.05, 1.0 - ctx.out_link_rho.get(d, 0.0))
             for d, w in weights.items()
         }
+
+    def weight_columns(
+        self,
+        topo: MeshTopology,
+        pairs: FreePairs,
+        contexts: Optional[RouterContexts],
+    ) -> np.ndarray:
+        """:meth:`weights` of every free pair as one array computation."""
+        if contexts is None or type(self).weights is not PanrRouting.weights:
+            return super().weight_columns(topo, pairs, contexts)
+        congested = contexts.occupancy[pairs.cur] > self.buffer_threshold
+        metric = np.where(
+            congested[:, None],
+            contexts.data_rate[pairs.tiles],
+            contexts.psn_pct[pairs.tiles],
+        )
+        out = soft_argmin_columns(metric, contexts.out_rho[pairs.links])
+        out[pairs.codes < 0] = 0.0
+        if contexts.psn_valid is not None:
+            # Fail-safe rows: weight 1.0 on the XY direction alone.  A
+            # free pair offers both minimal directions, XY's among them.
+            untrusted = ~(
+                contexts.psn_valid[pairs.tiles] | (pairs.codes < 0)
+            ).all(axis=1)
+            xy = _XY_FALLBACK.forced_hops(topo)[pairs.cur, pairs.dst]
+            out[untrusted] = pairs.codes[untrusted] == xy[untrusted, None]
+        return out

@@ -81,19 +81,6 @@ class DomainPdnBuilder:
             circuit.inductor(mid, TILE_NODES[b], tech.l_grid_h)
         return circuit
 
-    def impedance_profile(
-        self, frequencies_hz, tile_index: int = 0
-    ):
-        """Small-signal input impedance |Z(f)| at one tile's supply rail.
-
-        Builds the domain PDN with no workload (AC analysis is load
-        independent) and sweeps the given frequencies.  The curve peaks
-        at the bump-inductance/decap anti-resonance reported by
-        :meth:`resonance_hz`.
-        """
-        circuit = self.build(1.0, [0.0] * len(TILE_NODES))
-        return circuit.ac_impedance(TILE_NODES[tile_index], frequencies_hz)
-
     def resonance_hz(self) -> float:
         """Natural frequency of one tile's bump-L / decap-C tank.
 

@@ -70,16 +70,6 @@ def _condition_estimate(matrix: sp.csc_matrix, lu) -> float:
     return float(spla.norm(matrix, 1) * inv_norm)
 
 
-def _stamp_dense(a: np.ndarray, i: Optional[int], j: Optional[int], y) -> None:
-    """Stamp a two-terminal admittance into a dense (complex) matrix."""
-    if i is not None:
-        a[i, i] += y
-    if j is not None:
-        a[j, j] += y
-    if i is not None and j is not None:
-        a[i, j] -= y
-        a[j, i] -= y
-
 Waveform = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 #: One lane of :meth:`Circuit.transient_lanes`: the current-source
@@ -833,84 +823,6 @@ class Circuit:
         )
         self._plans[(method, dt)] = plan
         return plan
-
-    def ac_impedance(
-        self, node: str, frequencies_hz: Sequence[float]
-    ) -> np.ndarray:
-        """Small-signal input impedance |Z(f)| seen at a node, in ohms.
-
-        The standard PDN characterisation: inject a 1 A AC current into
-        ``node`` (voltage sources shorted), solve the complex MNA system
-        at each frequency, and read back the node voltage - its magnitude
-        is the impedance.  The peak of the curve marks the bump-L /
-        decap-C anti-resonance that workload current edges excite.
-
-        Args:
-            node: Node to probe (not ground).
-            frequencies_hz: Frequencies to sweep, each > 0.
-
-        Returns:
-            ``|Z|`` per frequency, same length as ``frequencies_hz``.
-        """
-        if node in (GROUND, "0"):
-            raise ValueError("cannot probe the ground node")
-        if node not in self._nodes:
-            raise KeyError(f"unknown node {node!r}")
-        freqs = np.asarray(list(frequencies_hz), dtype=float)
-        if freqs.size == 0 or np.any(freqs <= 0):
-            raise ValueError("frequencies must be positive")
-
-        n = len(self._nodes)
-        n_l = len(self._inductors)
-        n_v = len(self._vsources)
-        size = n + n_l + n_v
-        probe = self._nodes[node]
-
-        out = np.empty(freqs.size)
-        for i, f in enumerate(freqs):
-            omega = 2.0 * np.pi * f
-            a = np.zeros((size, size), dtype=complex)
-            for r in self._resistors:
-                g = 1.0 / r.ohms
-                pa, pb = self._idx(r.a), self._idx(r.b)
-                _stamp_dense(a, pa, pb, g)
-            for c in self._capacitors:
-                y = 1j * omega * c.farads
-                pa, pb = self._idx(c.a), self._idx(c.b)
-                _stamp_dense(a, pa, pb, y)
-            for k, l in enumerate(self._inductors):
-                row = n + k
-                pa, pb = self._idx(l.a), self._idx(l.b)
-                if pa is not None:
-                    a[pa, row] += 1.0
-                    a[row, pa] += 1.0
-                if pb is not None:
-                    a[pb, row] -= 1.0
-                    a[row, pb] -= 1.0
-                a[row, row] -= 1j * omega * l.henries
-            for k, _v in enumerate(self._vsources):
-                row = n + n_l + k
-                p, q = self._idx(_v.pos), self._idx(_v.neg)
-                if p is not None:
-                    a[p, row] += 1.0
-                    a[row, p] += 1.0
-                if q is not None:
-                    a[q, row] -= 1.0
-                    a[row, q] -= 1.0
-                # AC small-signal: DC sources are shorts (RHS row = 0).
-            rhs = np.zeros(size, dtype=complex)
-            rhs[probe] = 1.0  # 1 A injected into the probed node
-            try:
-                x = np.linalg.solve(a, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    "singular AC system matrix",
-                    node=node,
-                    frequency_hz=float(f),
-                    stage="ac",
-                ) from exc
-            out[i] = abs(x[probe])
-        return out
 
     # ------------------------------------------------------------------
     # Internals

@@ -21,8 +21,6 @@ PRODUCT_DIRS = ("src", "perfbench", "examples", "benchmarks")
 ALLOWLIST = {
     "repro.apps.graph.ApplicationGraph.high_tasks":
         "manager, profile and render_placement tests pick high-activity tasks with it",
-    "repro.pdn.builder.DomainPdnBuilder.impedance_profile":
-        "docs/models.md and EXPERIMENTS.md cite the domain PDN's AC impedance peak it computes",
     "repro.pdn.circuit.Circuit.node_names":
         "PDN builder tests and the transient LU oracle index node voltages by name",
     "repro.pdn.circuit.Circuit.operating_point":

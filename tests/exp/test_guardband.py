@@ -1,8 +1,14 @@
 """Tests for the guardband/decap savings analysis."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+# The AC analysis is a test helper of the PDN tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pdn"))
+from ac_impedance import ac_impedance  # noqa: E402
 from repro.chip.technology import technology
 from repro.exp.guardband import (
     equivalent_decap_factor,
@@ -75,7 +81,7 @@ class TestEquivalentDecap:
             c.capacitor("a", GROUND, c_f)
             f_res = 1.0 / (2 * math.pi * math.sqrt(20e-12 * c_f))
             freqs = np.geomspace(f_res / 5, f_res * 5, 121)
-            return float(c.ac_impedance("a", freqs).max())
+            return float(ac_impedance(c, "a", freqs).max())
 
         ratio = peak_z(8.5e-9) / peak_z(4 * 8.5e-9)
         assert ratio == pytest.approx(4.0, rel=0.1)

@@ -182,6 +182,20 @@ def counted_weights(routing):
     return calls
 
 
+def counted_weight_columns(routing):
+    """Wrap ``routing.weight_columns`` on the instance; return one list
+    of (router, destination) pairs per call."""
+    calls = []
+    inner = routing.weight_columns
+
+    def weight_columns(topo, pairs, contexts):
+        calls.append(list(zip(pairs.cur.tolist(), pairs.dst.tolist())))
+        return inner(topo, pairs, contexts)
+
+    routing.weight_columns = weight_columns
+    return calls
+
+
 class TestWeightCalls:
     """Each propagation asks the policy for a (router, destination)
     pair's weights once, only where it has a choice, and a context-free
@@ -226,15 +240,21 @@ class TestWeightCalls:
     def test_adaptive_policy_expands_each_pair_once_per_iteration(
         self, topo, policy
     ):
+        # PANR and ICON weigh all free pairs of a propagation in one
+        # array call and never call weights() there.
         routing = policy()
         flows = self.overlapping_flows(topo.mesh.tile_count)
         expected = distinct_expansions(topo, routing, flows)
         free = self.free_pairs(topo, routing, expected)
-        calls = counted_weights(routing)
+        calls = counted_weight_columns(routing)
+        singles = counted_weights(routing)
         psn = np.linspace(0.0, 6.0, topo.mesh.tile_count)
         model(topo, routing, iterations=4).evaluate(flows, psn_pct=psn)
-        assert free and set(calls) == free
-        assert len(calls) <= 4 * len(free)
+        assert free and len(calls) == 4
+        for pairs in calls:
+            assert len(pairs) == len(free)
+            assert set(pairs) == free
+        assert singles == []
 
 
 class TestSharedForcedHops:
@@ -254,3 +274,42 @@ class TestSharedForcedHops:
         assert PanrRouting().forced_hops(MeshTopology(MeshGeometry(6, 5))) is not panr
         fresh = PanrRouting()._build_forced_hops(MeshTopology(mesh))
         assert np.array_equal(fresh, panr)
+
+
+class TestRoutingContract:
+    """A policy whose weights step outside its own ``permissible`` set
+    is rejected by name instead of looping or raising a bare KeyError."""
+
+    class Rogue(WestFirstRouting):
+        name = "ROGUE"
+        context_free = False
+
+        def __init__(self, direction):
+            self.direction = direction
+
+        def weights(self, topo, cur, dst, ctx):
+            return {self.direction: 1.0}
+
+    @pytest.mark.parametrize(
+        "direction",
+        # WEST is never permissible where west-first has a choice (a
+        # non-minimal hop); NORTH off the top row leaves the mesh.
+        [Direction.WEST, Direction.NORTH, Direction.LOCAL],
+    )
+    def test_direction_outside_permissible_raises(self, topo, direction):
+        rogue = model(topo, self.Rogue(direction))
+        with pytest.raises(
+            ValueError, match=r"ROGUE routing at router 0 towards 7 names"
+        ):
+            rogue.evaluate([Flow(0, 7, 0.2)])
+
+    def test_non_minimal_permissible_raises(self, topo):
+        class Detour(XYRouting):
+            name = "DETOUR"
+
+            def permissible(self, topo, cur, dst):
+                dirs = super().permissible(topo, cur, dst)
+                return dirs + [Direction.SOUTH] if cur == 1 else dirs
+
+        with pytest.raises(ValueError, match="DETOUR routing at router 1"):
+            model(topo, Detour()).evaluate([Flow(0, 3, 0.2)])

@@ -62,26 +62,21 @@ class TestLaneIdentity:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_heterogeneous_rates_seeds_and_psn(self, policy):
-        # A mixed batch - every lane a different (rate, seed, PSN) -
-        # must still match per-lane oracle runs: lane state never
-        # leaks across the block-diagonal boundary, and PSN-aware
-        # lanes each route by their own field.
+        # A mixed batch - every lane a different (rate, seed) over one
+        # shared PSN field - must still match per-lane oracle runs:
+        # lane state never leaks across the block-diagonal boundary,
+        # and PSN-aware lanes all route by the same field.
         mesh = MeshGeometry(8, 8)
-        lane_cfg = [
-            (0.05, 3, np.full(mesh.tile_count, 4.0)),
-            (0.35, 7, band_psn(mesh)),
-            (0.20, 11, np.roll(band_psn(mesh), 2 * mesh.width)),
-            (0.30, 13, np.zeros(mesh.tile_count)),
-        ]
-        flows = [uniform_flows(mesh, r, seed=s) for r, s, _ in lane_cfg]
-        psn = np.stack([p for _, _, p in lane_cfg])
+        lane_cfg = [(0.05, 3), (0.35, 7), (0.20, 11), (0.30, 13)]
+        psn = np.roll(band_psn(mesh), 2 * mesh.width) + np.arange(
+            mesh.tile_count
+        ) % 3
+        flows = [uniform_flows(mesh, r, seed=s) for r, s in lane_cfg]
         batch = BatchedNocEngine(
             mesh, make_routing(policy), n_lanes=len(lane_cfg), psn_pct=psn
         ).run(flows, 300)
-        for lane, (_, _, lane_psn) in enumerate(lane_cfg):
-            legacy = CycleNocSimulator(
-                mesh, make_routing(policy), psn_pct=lane_psn
-            )
+        for lane in range(len(lane_cfg)):
+            legacy = CycleNocSimulator(mesh, make_routing(policy), psn_pct=psn)
             assert_stats_equal(legacy.run(flows[lane], 300), batch[lane])
 
     def test_multi_flow_same_source_lanes(self):
@@ -134,9 +129,12 @@ class TestValidation:
         mesh = MeshGeometry(4, 4)
         with pytest.raises(ValueError):
             BatchedNocEngine(mesh, make_routing("xy"), n_lanes=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="psn_pct must have shape"):
             BatchedNocEngine(mesh, make_routing("xy"), n_lanes=2,
-                             psn_pct=np.zeros((3, mesh.tile_count)))
+                             psn_pct=np.zeros((2, mesh.tile_count)))
+        with pytest.raises(ValueError, match="psn_pct must have shape"):
+            BatchedNocEngine(mesh, make_routing("xy"),
+                             psn_pct=np.zeros(mesh.tile_count - 1))
 
     def test_bad_run_arguments_rejected(self):
         mesh = MeshGeometry(4, 4)

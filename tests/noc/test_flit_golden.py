@@ -12,6 +12,12 @@ moves both together (a ``routing.select`` edit, say).  When the digests
 were generated, every lane was asserted equal to the oracle's run of
 the same traffic and PSN field; a speed-up must reproduce them, never
 re-pin them.
+
+The engine takes one PSN field for all its lanes, so the "lanes"
+setting, which gives every lane its own field, runs each lane as a
+one-lane engine.  Batch lanes are identical to one-lane runs
+(``test_batch_engine.py``), so these are the digests of the per-lane
+batch they were generated from.
 """
 
 import hashlib
@@ -131,11 +137,16 @@ def run_case(policy, mesh_name, setting):
     (width, height), rates = MESHES[mesh_name]
     mesh = MeshGeometry(width, height)
     flows = lane_flows(mesh, rates)
+    psn = psn_field(setting, mesh, len(flows))
+    if setting == "lanes":
+        return [
+            BatchedNocEngine(mesh, make_routing(policy), psn_pct=field).run(
+                [lane], CYCLES
+            )[0]
+            for lane, field in zip(flows, psn)
+        ]
     engine = BatchedNocEngine(
-        mesh,
-        make_routing(policy),
-        n_lanes=len(flows),
-        psn_pct=psn_field(setting, mesh, len(flows)),
+        mesh, make_routing(policy), n_lanes=len(flows), psn_pct=psn
     )
     return engine.run(flows, CYCLES)
 

@@ -11,6 +11,7 @@ on the same class of poisoned input.
 import numpy as np
 import pytest
 
+from ac_impedance import ac_impedance
 from repro.harness.errors import SolverError, SolverInputError
 from repro.pdn.circuit import GROUND, Circuit
 from repro.pdn.fast import FastPsnModel, _DEFAULT_PEAK
@@ -91,7 +92,7 @@ class TestTransientGuards:
         c.vsource("a", GROUND, 2.0)
         c.resistor("a", GROUND, 1.0)
         with pytest.raises(SolverError) as excinfo:
-            c.ac_impedance("a", [1e6])
+            ac_impedance(c, "a", [1e6])
         assert excinfo.value.context.get("stage") == "ac"
 
 

@@ -88,8 +88,17 @@ class TestPinnedWorkloads:
         entry = result["noc_analytical_evaluate"]
         assert entry["seconds"] > 0
         assert entry["meta"]["mesh"] == "10x6"
-        assert entry["meta"]["routing"] == ["xy", "panr"]
-        assert entry["meta"]["xy_ms"] > 0 and entry["meta"]["panr_ms"] > 0
+        meta = entry["meta"]
+        assert meta["routing"] == ["xy", "panr", "icon"]
+        assert meta["xy_ms"] > 0 and meta["panr_ms"] > 0 and meta["icon_ms"] > 0
+        # The gated figure stays XY + PANR; ICON is reported only.
+        assert entry["seconds"] == pytest.approx(
+            (meta["xy_ms"] + meta["panr_ms"]) / 1e3
+        )
+        assert set(meta["us_per_flow"]) == {"xy", "panr", "icon"}
+        assert meta["us_per_flow"]["panr"] == pytest.approx(
+            meta["panr_ms"] * 1e3 / meta["flows"]
+        )
 
     def test_lint_bench_smoke(self):
         result = bench.bench_lint(quick=True)
