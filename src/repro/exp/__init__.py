@@ -13,19 +13,9 @@
 * :mod:`repro.exp.report`     - the ``python -m repro`` one-shot report;
 * :mod:`repro.exp.viz`        - ASCII chip/PSN renderers.
 
-Only the framework table and the runner, which every campaign cell runs,
-are imported here.  The figure and report modules load the transient
-solver's scipy stack; import them directly (``from repro.exp import
-figures`` works as before).
+The package imports none of them, so a process loads only the modules
+it names: a routing-sweep worker never loads the runtime simulator, and
+the figure and report modules, which load the transient solver's scipy
+stack, stay out of every campaign cell.  Import each module directly
+(``from repro.exp import figures``).
 """
-
-from repro.exp.frameworks import FRAMEWORKS, Framework, framework
-from repro.exp.runner import FrameworkResult, run_framework
-
-__all__ = [
-    "FRAMEWORKS",
-    "Framework",
-    "framework",
-    "FrameworkResult",
-    "run_framework",
-]

@@ -540,7 +540,7 @@ class AnalyticalNocModel:
             free_rows=np.flatnonzero(free),
             free_pairs=FreePairs(
                 cur[free], dst[free], codes[free], pair_tiles[free],
-                pair_links[free],
+                pair_links[free], cur[free],
             ),
         )
 

@@ -11,13 +11,14 @@ A routing algorithm answers two questions at each router:
 
 The analytical model asks the second question for many routers at once
 through :meth:`RoutingAlgorithm.weight_columns`, whose default answers
-it with one ``weights`` call per router.
+it with one ``weights`` call per (router, destination) pair.
 
 The flit-level engine (:mod:`repro.noc.batch`) picks the argmax-weight
-direction per packet; the analytical model splits flows fractionally
-by the same weights, so both models express one policy.  Where
-``permissible`` leaves a single direction there is nothing to choose:
-both models route such *forced* hops from
+direction per packet, a cycle's decisions at once through
+:meth:`RoutingAlgorithm.select_columns`; the analytical model splits
+flows fractionally by the same weights, so both models express one
+policy.  Where ``permissible`` leaves a single direction there is
+nothing to choose: both models route such *forced* hops from
 :meth:`RoutingAlgorithm.forced_hops` and ask the policy only where it
 has a choice.
 """
@@ -38,16 +39,14 @@ from repro.noc.topology import (
     PORT_DIRECTIONS,
 )
 
-#: Tie-break rank of each direction in :meth:`RoutingAlgorithm.select`
-#: (the earlier direction wins a weight tie).
-_TIE_RANK = {d: i for i, d in enumerate(Direction)}
-
 #: Entry of :meth:`RoutingAlgorithm.forced_hops` where the policy
 #: chooses among several directions.
 FREE_HOP = -1
 
-#: Forced-hop tables keyed by (class defining ``permissible``, mesh).
+#: Forced-hop and free-hop tables keyed by (class defining
+#: ``permissible``, mesh).
 _FORCED_TABLES: Dict[Tuple[type, MeshGeometry], np.ndarray] = {}
+_FREE_TABLES: Dict[Tuple[type, MeshGeometry], np.ndarray] = {}
 
 
 @dataclass
@@ -92,56 +91,69 @@ class FreePairs(NamedTuple):
     :meth:`RoutingAlgorithm.permissible` order.  A minimal route offers
     at most two directions; unused columns hold -1.
 
-    Link ids are ``tile * len(PORT_DIRECTIONS) + port code`` (see
-    :data:`repro.noc.topology.PORT_CODES`).
+    ``tiles``, ``links`` and ``inputs`` say which entry of each
+    :class:`RouterContexts` array a pair reads.  The analytical model
+    passes tile ids, link ids (``tile * len(PORT_DIRECTIONS) + port
+    code``, see :data:`repro.noc.topology.PORT_CODES`) and the router
+    itself; the flit-level engine passes its own per-call layout.
     """
 
     cur: np.ndarray
     dst: np.ndarray
     #: ``(p, 2)`` port codes of the columns.
     codes: np.ndarray
-    #: ``(p, 2)`` neighbour tile each column leads to.
+    #: ``(p, 2)`` entry of the neighbour each column leads to, in
+    #: ``data_rate``, ``psn_pct`` and ``psn_valid``.
     tiles: np.ndarray
-    #: ``(p, 2)`` outgoing link id of each column.
+    #: ``(p, 2)`` entry of each column's outgoing link in ``out_rho``.
     links: np.ndarray
+    #: ``(p,)`` entry of the input channel deciding the pair in
+    #: ``occupancy``.
+    inputs: np.ndarray
 
 
 class RouterContexts(NamedTuple):
-    """The :class:`RoutingContext` of every router at once, as arrays.
+    """The :class:`RoutingContext` of many decisions at once, as arrays.
 
-    A router's context towards direction ``d`` reads the entry of the
-    neighbour tile (``neighbor_data_rate``, ``neighbor_psn_pct``,
-    ``neighbor_psn_valid``) or of its outgoing link (``out_link_rho``).
+    A pair's context towards a column's direction reads the column's
+    ``tiles`` entry (``neighbor_data_rate``, ``neighbor_psn_pct``,
+    ``neighbor_psn_valid``) or its ``links`` entry (``out_link_rho``);
+    its buffer occupancy reads its ``inputs`` entry (see
+    :class:`FreePairs`).
     """
 
-    #: ``(tiles,)`` buffer occupancy of each router.
+    #: Buffer occupancy of each input channel.
     occupancy: np.ndarray
-    #: ``(tiles,)`` incoming data rate of each router.
+    #: Incoming data rate of each neighbour entry.
     data_rate: np.ndarray
-    #: ``(tiles,)`` PSN reading of each tile.
+    #: PSN reading of each neighbour entry.
     psn_pct: np.ndarray
-    #: ``(tiles,)`` sensor trust per tile, or None when all are valid.
+    #: Sensor trust of each neighbour entry, or None when all are valid.
     psn_valid: Optional[np.ndarray]
-    #: Utilisation per link id (see :class:`FreePairs`).
+    #: Utilisation of each link entry.
     out_rho: np.ndarray
 
-    def context(self, topo: MeshTopology, cur: int) -> RoutingContext:
-        """Router ``cur``'s :class:`RoutingContext`, over every mesh
-        direction with a neighbour."""
+    def pair_context(self, pairs: FreePairs, row: int) -> RoutingContext:
+        """Pair ``row``'s :class:`RoutingContext`, over its columns."""
         rates = {}
         noise = {}
         trusted = {}
         out_rho = {}
-        ports = len(PORT_DIRECTIONS)
-        for d in topo.out_directions(cur):
-            n = topo.neighbor(cur, d)
-            rates[d] = self.data_rate.item(n)
-            noise[d] = self.psn_pct.item(n)
+        for code, tile, link in zip(
+            pairs.codes[row].tolist(),
+            pairs.tiles[row].tolist(),
+            pairs.links[row].tolist(),
+        ):
+            if code < 0:
+                continue
+            d = PORT_DIRECTIONS[code]
+            rates[d] = self.data_rate.item(tile)
+            noise[d] = self.psn_pct.item(tile)
             if self.psn_valid is not None:
-                trusted[d] = bool(self.psn_valid[n])
-            out_rho[d] = self.out_rho.item(cur * ports + PORT_CODES[d])
+                trusted[d] = bool(self.psn_valid[tile])
+            out_rho[d] = self.out_rho.item(link)
         return RoutingContext(
-            buffer_occupancy=self.occupancy.item(cur),
+            buffer_occupancy=self.occupancy.item(pairs.inputs.item(row)),
             neighbor_data_rate=rates,
             neighbor_psn_pct=noise,
             neighbor_psn_valid=trusted,
@@ -239,12 +251,12 @@ class RoutingAlgorithm(abc.ABC):
         dst: int,
         ctx: RoutingContext,
     ) -> Direction:
-        """Single-direction choice (flit-level engine): highest weight
-        wins, ties broken by direction order for determinism."""
+        """Single-direction choice: highest weight wins, the lower port
+        code breaking a tie for determinism."""
         weights = self.weights(topo, cur, dst, ctx)
         if not weights:
             return Direction.LOCAL
-        return max(weights, key=lambda d: (weights[d], -_TIE_RANK[d]))
+        return max(weights, key=lambda d: (weights[d], -PORT_CODES[d]))
 
     def weight_columns(
         self,
@@ -258,7 +270,7 @@ class RoutingAlgorithm(abc.ABC):
 
         ``contexts`` is None for a context-free policy.  The default
         calls :meth:`weights` once per pair, with the shared empty
-        context or the router's context built from ``contexts``; an
+        context or the pair's context built from ``contexts``; an
         adaptive policy may override this with array arithmetic that
         gives the same floats.
 
@@ -267,22 +279,50 @@ class RoutingAlgorithm(abc.ABC):
                 :meth:`permissible` at a pair.
         """
         out = np.zeros(pairs.codes.shape)
-        built: Dict[int, RoutingContext] = {}
         for row, (cur, dst, codes) in enumerate(
             zip(pairs.cur.tolist(), pairs.dst.tolist(), pairs.codes.tolist())
         ):
-            if contexts is None:
-                ctx = _EMPTY_CONTEXT
-            else:
-                ctx = built.get(cur)
-                if ctx is None:
-                    ctx = built[cur] = contexts.context(topo, cur)
+            ctx = _EMPTY_CONTEXT
+            if contexts is not None:
+                ctx = contexts.pair_context(pairs, row)
             for d, w in self.weights(topo, cur, dst, ctx).items():
                 code = PORT_CODES.get(d, -1)
                 if code < 0 or code not in codes:
                     reject_hop(self, cur, dst, d)
                 out[row, codes.index(code)] = w
         return out
+
+    def select_columns(
+        self,
+        topo: MeshTopology,
+        pairs: FreePairs,
+        contexts: Optional[RouterContexts],
+    ) -> np.ndarray:
+        """:meth:`select` of many free pairs at once: the ``(p,)`` port
+        code chosen at each pair, every pair offering two columns.
+
+        The default is :meth:`select`'s own rule over one
+        :meth:`weight_columns` call: the larger weight wins and the
+        lower port code breaks a tie (weights are positive, so a column
+        the policy names beats one it leaves out).  A policy that
+        overrides :meth:`select` is asked once per pair instead.
+        """
+        if type(self).select is not RoutingAlgorithm.select:
+            chosen = []
+            for row, (cur, dst) in enumerate(
+                zip(pairs.cur.tolist(), pairs.dst.tolist())
+            ):
+                ctx = _EMPTY_CONTEXT
+                if contexts is not None:
+                    ctx = contexts.pair_context(pairs, row)
+                chosen.append(PORT_CODES[self.select(topo, cur, dst, ctx)])
+            return np.array(chosen, np.int64)
+        w = self.weight_columns(topo, pairs, contexts)
+        codes = pairs.codes
+        second = (w[:, 1] > w[:, 0]) | (
+            (w[:, 1] == w[:, 0]) & (codes[:, 1] < codes[:, 0])
+        )
+        return np.where(second, codes[:, 1], codes[:, 0])
 
     def forced_hops(self, topo: MeshTopology) -> np.ndarray:
         """Read-only ``(n, n)`` int8 table of forced port codes.
@@ -304,6 +344,37 @@ class RoutingAlgorithm(abc.ABC):
         if table is None:
             table = self._build_forced_hops(topo)
             _FORCED_TABLES[key] = table
+        return table
+
+    def free_hops(self, topo: MeshTopology) -> np.ndarray:
+        """Read-only ``(n, n, 2)`` int8 table of free hops' port codes.
+
+        Entry ``[cur, dst]`` holds the two directions
+        :meth:`permissible` names, in its order, where
+        :meth:`forced_hops` holds :data:`FREE_HOP`, and -1 elsewhere.
+        Built and shared like :meth:`forced_hops`.
+
+        Raises:
+            ValueError: ``permissible`` names other than two directions
+                where it leaves a choice.
+        """
+        key = (permissible_owner(self), topo.mesh)
+        table = _FREE_TABLES.get(key)
+        if table is None:
+            forced = self.forced_hops(topo)
+            n = topo.mesh.tile_count
+            table = np.full((n, n, 2), -1, np.int8)
+            for cur, dst in np.argwhere(forced == FREE_HOP).tolist():
+                dirs = self.permissible(topo, cur, dst)
+                if len(dirs) != 2:
+                    raise ValueError(
+                        f"{self.name} routing at router {cur} towards "
+                        f"{dst} offers {len(dirs)} hops; a choice is "
+                        "between two"
+                    )
+                table[cur, dst] = [PORT_CODES[d] for d in dirs]
+            table.setflags(write=False)
+            _FREE_TABLES[key] = table
         return table
 
     def _build_forced_hops(self, topo: MeshTopology) -> np.ndarray:

@@ -114,7 +114,7 @@ class PanrRouting(WestFirstRouting):
         """:meth:`weights` of every free pair as one array computation."""
         if contexts is None or type(self).weights is not PanrRouting.weights:
             return super().weight_columns(topo, pairs, contexts)
-        congested = contexts.occupancy[pairs.cur] > self.buffer_threshold
+        congested = contexts.occupancy[pairs.inputs] > self.buffer_threshold
         metric = np.where(
             congested[:, None],
             contexts.data_rate[pairs.tiles],

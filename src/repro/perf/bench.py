@@ -24,7 +24,7 @@ against a committed baseline (see ``docs/performance.md``):
 * ``noc_engine_array`` / ``noc_engine_array_adaptive`` - the
   flit-level cycle model at 8x8 saturation: a one-lane
   :class:`~repro.noc.batch.BatchedNocEngine` run under XY and under
-  PANR (the context-assembly path);
+  PANR (one array selection of the free decisions per cycle);
 * ``noc_engine_batch_loop`` / ``noc_engine_batched`` - a context-free
   sweep as a loop of one-lane engines vs one S-lane lock-step batch;
 * ``noc_analytical_evaluate`` - one flow-based analytical NoC

@@ -123,6 +123,38 @@ class TestLaneIdentity:
                 for lane, oracle in enumerate(oracles):
                     assert_stats_equal(oracle.run(flows[lane], 250), got[lane])
 
+    def test_saturated_backlog_and_second_run(self):
+        # Two flows offer source 0 more flits than its LOCAL port takes
+        # (at most one a cycle), so its backlog grows far past 64 flits.
+        # A second run continues the packet ids and the cycle count and
+        # drops the first run's backlog, exactly like the oracle.
+        mesh = MeshGeometry(4, 4)
+        lane_flows = [
+            TrafficFlow(0, 15, 0.9, packet_size=8),
+            TrafficFlow(0, 6, 0.7, packet_size=3),
+            TrafficFlow(9, 2, 0.2, packet_size=5),
+        ]
+        cycles = 300
+        # Flits source 0 emits beyond what its port can take, less one
+        # packet per flow still accumulating.
+        backlog = sum(
+            f.rate * cycles - f.packet_size for f in lane_flows if f.src == 0
+        ) - cycles
+        assert backlog > 64
+        for policy in ("xy", "panr"):
+            batch = BatchedNocEngine(mesh, make_routing(policy), n_lanes=2)
+            oracle = CycleNocSimulator(mesh, make_routing(policy))
+            emitted = 0
+            for _ in range(2):
+                got = batch.run([[], lane_flows], cycles)
+                want = oracle.run(lane_flows, cycles)
+                assert_stats_equal(want, got[1])
+                assert got[0].packets_injected == 0
+                emitted += want.packets_injected
+                assert batch._next_packet_id == oracle._next_packet_id
+                assert batch._next_packet_id == emitted
+            assert batch._cycle == oracle._cycle == 2 * cycles
+
 
 class TestValidation:
     def test_bad_construction_rejected(self):

@@ -131,6 +131,20 @@ class TestTable:
         with pytest.raises(RuntimeError, match="off mesh"):
             AnalyticalNocModel(MeshTopology(mesh), WestOffMesh())
 
+    def test_free_hop_must_offer_two_directions(self):
+        class Spread(WestFirstRouting):
+            """Adds WEST as a third choice wherever west-first has two."""
+
+            name = "SPREAD"
+            context_free = False
+
+            def permissible(self, topo, cur, dst):
+                dirs = super().permissible(topo, cur, dst)
+                return dirs + [Direction.WEST] if len(dirs) == 2 else dirs
+
+        with pytest.raises(ValueError, match="SPREAD .* offers 3 hops"):
+            BatchedNocEngine(MeshGeometry(4, 4), Spread())
+
 
 def counted_selects(routing):
     """Wrap ``routing.select`` on the instance; return one flag per call,
@@ -148,24 +162,46 @@ def counted_selects(routing):
 
 @pytest.mark.parametrize("policy", [PanrRouting, IconRouting])
 def test_engine_calls_select_only_for_free_decisions(policy):
-    # The oracle asks the policy at every head-flit decision; the
-    # engine, which makes the same decisions, only at those where
-    # permissible leaves a choice.
+    # The oracle asks the policy's select at every head-flit decision.
+    # The engine makes the same decisions but asks PANR and ICON only
+    # where permissible leaves a choice, and then without select: one
+    # weight_columns call per cycle, whose rows are exactly that
+    # cycle's free decisions over all lanes.
     mesh = MeshGeometry(6, 6)
     psn = band_psn(mesh)
     seeds = (3, 4)
     flows = [uniform_flows(mesh, 0.2, seed=s) for s in seeds]
+    oracle_free = {}
     oracle_calls = []
     for lane_flows in flows:
         routing = policy()
-        calls = counted_selects(routing)
-        CycleNocSimulator(mesh, routing, psn_pct=psn).run(lane_flows, 300)
-        oracle_calls.extend(calls)
+        sim = CycleNocSimulator(mesh, routing, psn_pct=psn)
+        inner = routing.select
+
+        def select(topo, cur, dst, ctx, sim=sim, inner=inner, r=routing):
+            oracle_calls.append(cur)
+            if len(r.permissible(topo, cur, dst)) > 1:
+                oracle_free.setdefault(sim._cycle, []).append((cur, dst))
+            return inner(topo, cur, dst, ctx)
+
+        routing.select = select
+        sim.run(lane_flows, 300)
     routing = policy()
-    engine_calls = counted_selects(routing)
-    BatchedNocEngine(mesh, routing, n_lanes=len(seeds), psn_pct=psn).run(
-        flows, 300
-    )
-    assert all(engine_calls)
-    assert len(engine_calls) == sum(oracle_calls)
-    assert 0 < len(engine_calls) < len(oracle_calls)
+    engine = BatchedNocEngine(mesh, routing, n_lanes=len(seeds), psn_pct=psn)
+    engine_selects = counted_selects(routing)
+    engine_free = {}
+    columns = routing.weight_columns
+
+    def weight_columns(topo, pairs, contexts):
+        assert engine._cycle not in engine_free
+        engine_free[engine._cycle] = sorted(
+            zip(pairs.cur.tolist(), pairs.dst.tolist())
+        )
+        return columns(topo, pairs, contexts)
+
+    routing.weight_columns = weight_columns
+    engine.run(flows, 300)
+    assert engine_selects == []
+    assert engine_free == {c: sorted(rows) for c, rows in oracle_free.items()}
+    rows = sum(len(r) for r in engine_free.values())
+    assert len(engine_free) < rows < len(oracle_calls)

@@ -54,6 +54,7 @@ def free_pairs(topo, routing):
         codes=codes,
         tiles=nbr[cur[:, None], codes],
         links=cur[:, None] * len(PORT_DIRECTIONS) + codes,
+        inputs=cur,
     )
 
 
@@ -107,7 +108,7 @@ def test_contexts_hit_the_decision_edges():
         ctx = edge_contexts(topo.mesh.tile_count, seed, "untrusted")
         rate = ctx.data_rate[pairs.tiles]
         ties += int(np.sum(rate[:, 0] == rate[:, 1]))
-        threshold += int(np.sum(ctx.occupancy[pairs.cur] == 0.5))
+        threshold += int(np.sum(ctx.occupancy[pairs.inputs] == 0.5))
         got = PanrRouting().weight_columns(topo, pairs, ctx)
         # XY fallback rows carry one weight of exactly 1.0.
         assert np.any(np.sort(got, axis=1) == [0.0, 1.0])

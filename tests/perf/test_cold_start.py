@@ -1,5 +1,6 @@
 """Import budget of a fresh process: a campaign cell, a routing batch and
-a service epoch load neither scipy nor networkx.
+a service epoch load neither scipy nor networkx, and a routing batch
+loads none of the runtime stack.
 
 Every spawned pool worker and every ``python -m repro <subcommand>``
 process pays its imports before its first unit of work.  scipy (with
@@ -45,14 +46,41 @@ print(json.dumps(sorted(
 """
 
 
-def test_cell_routing_and_service_paths_skip_scipy_and_networkx():
+#: What a routing-sweep task imports and runs, on its own.
+ROUTING_PROBE = """
+import json, sys
+from repro.exp.routing_sweep import SweepPoint, run_batch
+run_batch([SweepPoint("panr", 0.1, 1, mesh_width=4, mesh_height=4,
+                      cycles=50)])
+print(json.dumps(sorted(
+    name for name in (
+        "repro.core", "repro.apps", "repro.exp.frameworks",
+        "repro.exp.runner", "scipy", "networkx",
+    )
+    if name in sys.modules
+)))
+"""
+
+
+def loaded(probe):
+    """The watched modules a fresh interpreter has loaded after ``probe``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", probe],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == []
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cell_routing_and_service_paths_skip_scipy_and_networkx():
+    assert loaded(PROBE) == []
+
+
+def test_routing_batch_skips_the_runtime_stack():
+    # The package ``repro.exp`` imports none of its modules, so a
+    # routing worker never builds the mapping or application layers.
+    assert loaded(ROUTING_PROBE) == []
