@@ -8,9 +8,9 @@ results of every other reader of the cache.
 
 Classes opt in by declaring the contract as a plain class attribute::
 
-    class BatchedNocEngine:
-        __shared_readonly__ = ("_route_table", "_down_tile")
-        __shared_readonly_init__ = ("_build_route_columns",)  # optional
+    class MeshTopology:
+        __shared_readonly__ = ("_towards", "_neighbor_codes")
+        __shared_readonly_init__ = ("neighbor_codes",)  # optional
 
 ``__shared_readonly__`` names instance attributes (numpy arrays) that
 are read-only once constructed; ``__shared_readonly_init__`` names

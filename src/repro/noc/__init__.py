@@ -29,7 +29,6 @@ from repro.noc.routing import (
     IconRouting,
     PanrRouting,
     RoutingAlgorithm,
-    RoutingContext,
     WestFirstRouting,
     XYRouting,
     make_routing,
@@ -42,7 +41,6 @@ __all__ = [
     "Direction",
     "MeshTopology",
     "RoutingAlgorithm",
-    "RoutingContext",
     "XYRouting",
     "WestFirstRouting",
     "PanrRouting",

@@ -287,8 +287,8 @@ class AnalyticalNocModel:
                     PORT_CODES[d]
                 ]
         self._in_links = in_links
-        # Hops with one permissible direction take {D: 1.0} from here
-        # instead of asking the policy (see RoutingAlgorithm).
+        # Hops with one permissible direction take weight 1.0 on their
+        # one column from here instead of asking the policy.
         self._forced = routing.forced_hops(topo)
         self._plans = _PLANS.setdefault(
             (permissible_owner(routing), topo.mesh), {}
@@ -332,8 +332,8 @@ class AnalyticalNocModel:
             The :class:`NocLoadReport`.
 
         Raises:
-            ValueError: Bad array shapes or tile ids, or the policy
-                names a hop outside its ``permissible`` set.
+            ValueError: Bad array shapes or tile ids, or the policy's
+                ``permissible`` names a non-minimal hop.
         """
         n_tiles = self._topo.mesh.tile_count
         if psn_pct is None:

@@ -8,8 +8,9 @@ the downstream buffer has a credit, and ejects flits at their
 destination; a packet's latency is recorded when its tail ejects.
 Data rates are measured over a window of :data:`RATE_WINDOW` cycles
 (the registers PANR's hardware keeps per neighbour).  The engine runs
-the routing sweep, the fault NoC sweep and the buffer-threshold
-ablation; the long Fig. 6-8 sweeps use :mod:`repro.noc.analytical`.
+the routing sweep, the buffer-threshold ablation and the validation
+suite's flit-level latency estimand; the long Fig. 6-8 sweeps use
+:mod:`repro.noc.analytical`.
 
 The engine advances ``S`` *independent* mesh simulations at once; a
 scalar run is a one-lane batch.  The key observation is that a batch
@@ -38,14 +39,15 @@ each cycle phase runs as a handful of vectorised operations:
 * **route computation and switch traversal** run over the occupied
   input ports alone (``np.flatnonzero`` of the occupancy, once per
   cycle).  Head-flit decisions gather from one ``(n, n)`` route table
-  shared by every lane.  For context-free policies (XY, west-first,
-  odd-even - ``RoutingAlgorithm.context_free``) ``routing.select``
-  fills each destination column the first time a run needs it.  For
-  adaptive policies (PANR, ICON) the table is ``routing.forced_hops``:
-  hops where west-first leaves one direction come from it, and a
-  cycle's free decisions, across all lanes, are one
+  shared by every lane, built in ``__init__`` from
+  ``routing.forced_hops``.  For context-free policies (XY, west-first,
+  odd-even - ``RoutingAlgorithm.context_free``) one
+  ``routing.select_columns`` call over the free hops fills the rest of
+  the table, so every decision is a gather.  For adaptive policies
+  (PANR, ICON) hops where the policy has one direction come from the
+  table, and a cycle's free decisions, across all lanes, are one
   ``routing.select_columns`` call over arrays gathered from the flat
-  state (one ``weight_columns`` call and an arg-max for PANR and ICON);
+  state (one ``weight_columns`` call and an arg-max);
 * **arbitration** is one ``np.minimum.at`` over the valid requests,
   and the winning moves commit with vectorised scatter/gather.
 
@@ -83,7 +85,7 @@ from repro.noc.routing.base import (
     FreePairs,
     RouterContexts,
     RoutingAlgorithm,
-    RoutingContext,
+    reject_hop,
 )
 from repro.noc.topology import (
     Direction,
@@ -203,8 +205,7 @@ class BatchedNocEngine:
 
     #: Lookup tables shared by every lane and read-only once built.
     #: parmlint's shared-readonly rule flags any write outside __init__
-    #: and the lazy route-table builder declared below (see
-    #: docs/lint.md).  Flat tile ids are ``lane * n + tile`` and flat
+    #: (see docs/lint.md).  Flat tile ids are ``lane * n + tile`` and flat
     #: port ids ``flat tile * 5 + port code``: _tile_lane/_tile_local
     #: decompose a flat tile, _down_flat/_nb_tile/_edge_ok are indexed
     #: by flat (tile, output) and _psn by flat tile.
@@ -216,16 +217,9 @@ class BatchedNocEngine:
         "_packed_rr",
         "_psn",
         "_route_table",
-        "_table_built",
         "_tile_lane",
         "_tile_local",
     )
-    #: For context-free policies, _route_table/_table_built columns are
-    #: filled lazily, one destination at a time, by this builder; for
-    #: adaptive ones _route_table is the policy's forced-hop table,
-    #: built once in __init__.
-    __shared_readonly_init__ = ("_build_route_columns",)
-
     def __init__(
         self,
         mesh: MeshGeometry,
@@ -310,18 +304,36 @@ class BatchedNocEngine:
         self._pkt_size_flits = np.zeros(0, np.int64)
         self._pkt_inject_cycle = np.zeros(0, np.int64)
 
-        # Route table: one (n, n) local table shared by every lane.
-        # Context-free policies fill its columns lazily with select;
-        # adaptive ones start from the policy's forced-hop table and
-        # select among the two free_hops columns where it holds FREE_HOP.
-        self._table_built: Optional[np.ndarray] = None
-        self._free_hops: Optional[np.ndarray] = None
+        # Route table: one (n, n) local table shared by every lane,
+        # from the policy's forced hops.  A context-free policy chooses
+        # its free hops here, once; an adaptive one chooses among the
+        # two free_hops columns per cycle where the table holds FREE_HOP.
+        table = routing.forced_hops(self._topo)
+        self._free_hops = routing.free_hops(self._topo)
         if routing.context_free:
-            self._route_table = np.full((n, n), FREE_HOP, np.int8)
-            self._table_built = np.zeros(n, bool)
-        else:
-            self._route_table = routing.forced_hops(self._topo)
-            self._free_hops = routing.free_hops(self._topo)
+            cur, dst = np.nonzero(table == FREE_HOP)
+            codes = self._free_hops[cur, dst]
+            chosen = routing.select_columns(
+                self._topo,
+                FreePairs(
+                    cur=cur,
+                    dst=dst,
+                    codes=codes,
+                    tiles=neigh[cur[:, None], codes],
+                    links=cur[:, None] * _N_PORTS + codes,
+                    inputs=cur,
+                ),
+                None,
+            )
+            # Reject off-mesh routes at build time so the cycle loop
+            # never needs an edge guard.
+            bad = neigh[cur, chosen] < 0
+            if bad.any():
+                tile = int(cur[np.flatnonzero(bad)[0]])
+                raise RuntimeError(f"route off mesh edge at tile {tile}")
+            table = table.copy()
+            table[cur, dst] = chosen
+        self._route_table = table
 
     # ------------------------------------------------------------------
 
@@ -363,16 +375,11 @@ class BatchedNocEngine:
                 flow_dst_l.append(f.dst)
                 flow_lane_l.append(lane)
 
-        flow_dst = np.array(flow_dst_l, np.int64)
-        if self._table_built is not None and flow_dst_l:
-            # Pre-build the route-table columns this run can need, so
-            # the per-cycle fast path is a single gather.
-            self._build_route_columns(np.unique(flow_dst))
         plan = self._plan_injection(
             np.array(flow_rate_l, float),
             np.array(flow_size_l, np.int64),
             np.array(flow_src_l, np.int64),
-            flow_dst,
+            np.array(flow_dst_l, np.int64),
             np.array(flow_lane_l, np.int64),
             cycles,
         )
@@ -670,31 +677,6 @@ class BatchedNocEngine:
             ),
         )
 
-    def _build_route_columns(self, dsts: np.ndarray) -> None:
-        """Fill route-table columns for the given in-mesh destinations."""
-        n = self._n_local
-        rows = np.arange(n)
-        on_mesh = self._topo.neighbor_codes() >= 0
-        ctx = RoutingContext()
-        for dst in dsts.tolist():
-            if self._table_built[dst]:
-                continue
-            col = np.array(
-                [
-                    PORT_CODES[self._routing.select(self._topo, cur, dst, ctx)]
-                    for cur in range(n)
-                ],
-                np.int8,
-            )
-            # Reject off-mesh routes at build time so the cycle loop
-            # never needs an edge guard.
-            bad = ~on_mesh[rows, col]
-            if bad.any():
-                tile = int(np.nonzero(bad)[0][0])
-                raise RuntimeError(f"route off mesh edge at tile {tile}")
-            self._route_table[:, dst] = col
-            self._table_built[dst] = True
-
     def _route_adaptive(
         self, tiles: np.ndarray, ports: np.ndarray, dsts: np.ndarray
     ) -> np.ndarray:
@@ -731,6 +713,15 @@ class BatchedNocEngine:
             / depth,
         )
         chosen = self._routing.select_columns(self._topo, pairs, contexts)
+        named = (chosen == codes[:, 0]) | (chosen == codes[:, 1])
+        if not named.all():
+            row = np.flatnonzero(~named)[0]
+            reject_hop(
+                self._routing,
+                int(cur[row]),
+                int(dsts[row]),
+                PORT_DIRECTIONS[chosen[row]],
+            )
         bad = ~self._edge_ok.take(tiles * _N_PORTS + chosen)
         if bad.any():
             tile = int(cur[np.flatnonzero(bad)[0]])

@@ -1,7 +1,7 @@
 """Routing algorithms: XY, west-first, PANR (the paper's), ICON,
 and the odd-even extension baseline."""
 
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
+from repro.noc.routing.base import RoutingAlgorithm
 from repro.noc.routing.xy import XYRouting
 from repro.noc.routing.west_first import WestFirstRouting
 from repro.noc.routing.panr import PanrRouting
@@ -12,8 +12,9 @@ from repro.noc.routing.odd_even import OddEvenRouting
 def make_routing(name: str) -> RoutingAlgorithm:
     """Build a routing algorithm by its evaluation name.
 
-    Accepted names (case-insensitive): ``"xy"``, ``"west-first"``,
-    ``"panr"``, ``"icon"``.
+    Accepted names (case-insensitive): ``"xy"``, ``"west-first"``
+    (or ``"westfirst"``), ``"panr"``, ``"icon"``, ``"odd-even"`` (or
+    ``"oddeven"``).
     """
     table = {
         "xy": XYRouting,
@@ -33,7 +34,6 @@ def make_routing(name: str) -> RoutingAlgorithm:
 
 __all__ = [
     "RoutingAlgorithm",
-    "RoutingContext",
     "XYRouting",
     "WestFirstRouting",
     "PanrRouting",

@@ -5,18 +5,17 @@ A routing algorithm answers two questions at each router:
 
 * ``permissible(cur, dst)`` - which output directions keep the route
   minimal and deadlock-free;
-* ``weights(cur, dst, ctx)`` - how to distribute traffic over those
-  directions given the router's local view (buffer occupancy, neighbour
-  data rates, neighbour PSN sensor readings).
+* :meth:`RoutingAlgorithm.weight_columns` - how to distribute traffic
+  over those directions given each router's local view (buffer
+  occupancy, neighbour data rates, neighbour PSN sensor readings), for
+  many (router, destination) pairs at once.  The default is uniform; an
+  adaptive policy overrides it.
 
-The analytical model asks the second question for many routers at once
-through :meth:`RoutingAlgorithm.weight_columns`, whose default answers
-it with one ``weights`` call per (router, destination) pair.
-
-The flit-level engine (:mod:`repro.noc.batch`) picks the argmax-weight
-direction per packet, a cycle's decisions at once through
-:meth:`RoutingAlgorithm.select_columns`; the analytical model splits
-flows fractionally by the same weights, so both models express one
+The analytical model (:mod:`repro.noc.analytical`) splits flows
+fractionally by the weights; the flit-level engine
+(:mod:`repro.noc.batch`) picks the argmax-weight direction per packet,
+a cycle's decisions at once through
+:meth:`RoutingAlgorithm.select_columns`, so both models express one
 policy.  Where ``permissible`` leaves a single direction there is
 nothing to choose: both models route such *forced* hops from
 :meth:`RoutingAlgorithm.forced_hops` and ask the policy only where it
@@ -26,18 +25,12 @@ has a choice.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple
 
 import numpy as np
 
 from repro.chip.mesh import MeshGeometry
-from repro.noc.topology import (
-    Direction,
-    MeshTopology,
-    PORT_CODES,
-    PORT_DIRECTIONS,
-)
+from repro.noc.topology import Direction, MeshTopology, PORT_CODES
 
 #: Entry of :meth:`RoutingAlgorithm.forced_hops` where the policy
 #: chooses among several directions.
@@ -47,42 +40,6 @@ FREE_HOP = -1
 #: ``permissible``, mesh).
 _FORCED_TABLES: Dict[Tuple[type, MeshGeometry], np.ndarray] = {}
 _FREE_TABLES: Dict[Tuple[type, MeshGeometry], np.ndarray] = {}
-
-
-@dataclass
-class RoutingContext:
-    """Local state a router consults when selecting among directions.
-
-    Attributes:
-        buffer_occupancy: Occupancy of the input channel making the
-            decision, as a fraction of buffer depth in [0, 1].
-        neighbor_data_rate: Incoming data rate (flits/cycle) observed at
-            the adjacent router in each direction.
-        neighbor_psn_pct: PSN sensor reading (percent of Vdd) of the
-            adjacent tile in each direction.
-        neighbor_psn_valid: Whether the adjacent tile's PSN reading can
-            be trusted (False for a detected sensor fault or a stale
-            reading).  Directions absent from the map are treated as
-            valid, so fault-free callers need not populate it.
-        out_link_rho: Utilisation of this router's outgoing link per
-            direction.  Credit-based flow control stalls flits towards a
-            backed-up neighbour no matter which direction the policy
-            prefers, so adaptive weights are gated by it.
-    """
-
-    buffer_occupancy: float = 0.0
-    neighbor_data_rate: Dict[Direction, float] = field(default_factory=dict)
-    neighbor_psn_pct: Dict[Direction, float] = field(default_factory=dict)
-    neighbor_psn_valid: Dict[Direction, bool] = field(default_factory=dict)
-    out_link_rho: Dict[Direction, float] = field(default_factory=dict)
-
-    def psn_trusted(self, direction: Direction) -> bool:
-        """Whether the PSN reading toward ``direction`` is trustworthy."""
-        return self.neighbor_psn_valid.get(direction, True)
-
-
-#: The context every router of a context-free policy is handed.
-_EMPTY_CONTEXT = RoutingContext()
 
 
 class FreePairs(NamedTuple):
@@ -113,13 +70,12 @@ class FreePairs(NamedTuple):
 
 
 class RouterContexts(NamedTuple):
-    """The :class:`RoutingContext` of many decisions at once, as arrays.
+    """The local view of many routing decisions at once, as arrays.
 
-    A pair's context towards a column's direction reads the column's
-    ``tiles`` entry (``neighbor_data_rate``, ``neighbor_psn_pct``,
-    ``neighbor_psn_valid``) or its ``links`` entry (``out_link_rho``);
-    its buffer occupancy reads its ``inputs`` entry (see
-    :class:`FreePairs`).
+    A pair's view towards a column's direction reads the column's
+    ``tiles`` entry (``data_rate``, ``psn_pct``, ``psn_valid``) or its
+    ``links`` entry (``out_rho``); its buffer occupancy reads its
+    ``inputs`` entry (see :class:`FreePairs`).
     """
 
     #: Buffer occupancy of each input channel.
@@ -133,42 +89,16 @@ class RouterContexts(NamedTuple):
     #: Utilisation of each link entry.
     out_rho: np.ndarray
 
-    def pair_context(self, pairs: FreePairs, row: int) -> RoutingContext:
-        """Pair ``row``'s :class:`RoutingContext`, over its columns."""
-        rates = {}
-        noise = {}
-        trusted = {}
-        out_rho = {}
-        for code, tile, link in zip(
-            pairs.codes[row].tolist(),
-            pairs.tiles[row].tolist(),
-            pairs.links[row].tolist(),
-        ):
-            if code < 0:
-                continue
-            d = PORT_DIRECTIONS[code]
-            rates[d] = self.data_rate.item(tile)
-            noise[d] = self.psn_pct.item(tile)
-            if self.psn_valid is not None:
-                trusted[d] = bool(self.psn_valid[tile])
-            out_rho[d] = self.out_rho.item(link)
-        return RoutingContext(
-            buffer_occupancy=self.occupancy.item(pairs.inputs.item(row)),
-            neighbor_data_rate=rates,
-            neighbor_psn_pct=noise,
-            neighbor_psn_valid=trusted,
-            out_link_rho=out_rho,
-        )
-
 
 def soft_argmin_columns(metric: np.ndarray, out_rho: np.ndarray) -> np.ndarray:
-    """PANR's and ICON's weights as arrays: ``1 / (m - min m + 0.4) ** 2``
-    per column, gated by ``max(0.05, 1 - rho)``.
+    """PANR's and ICON's weights: ``1 / (m - min m + 0.4) ** 2`` per
+    column, gated by ``max(0.05, 1 - rho)``.
 
-    The squares are Python ``**`` (C ``pow``), as in ``weights``:
-    ``np.power(x, 2.0)`` rounds like ``x * x``, which differs from
-    ``pow`` in the last bit for some ``x``.  Every other step rounds the
-    same in NumPy as in Python, so each weight is bit-identical.
+    The squares are Python ``**`` (C ``pow``), as in the scalar
+    reference model the test suite keeps: ``np.power(x, 2.0)`` rounds
+    like ``x * x``, which differs from ``pow`` in the last bit for some
+    ``x``.  Every other step rounds the same in NumPy as in Python, so
+    each weight is bit-identical to the reference.
     """
     best = metric.min(axis=1, keepdims=True)
     base = (metric - best + 0.4).ravel().tolist()
@@ -198,27 +128,28 @@ def permissible_owner(routing: "RoutingAlgorithm") -> type:
 class RoutingAlgorithm(abc.ABC):
     """Base class for minimal mesh routing policies.
 
-    Contract for forced hops: wherever :meth:`permissible` names exactly
-    one direction ``D``, :meth:`select` must return ``D`` and
-    :meth:`weights` must return ``{D: 1.0}``, whatever the context.
-    The NoC models route those hops from :meth:`forced_hops` without
-    calling the policy, so a policy that broke the contract would
-    behave differently in them than its own :meth:`select` says.
-    ``tests/noc/test_forced_hops.py`` checks every shipped policy.
+    A policy states :meth:`permissible` and, only if it is adaptive,
+    overrides :meth:`weight_columns`.  Where :meth:`permissible` names
+    exactly one direction, the NoC models route from :meth:`forced_hops`
+    and never ask the policy.
     """
 
     #: Evaluation name (e.g. ``"XY"``), used in experiment tables.
     name: str = "base"
 
-    #: Whether :meth:`select` ignores the :class:`RoutingContext`, i.e.
-    #: the chosen direction is a pure function of ``(cur, dst)``.  The
-    #: flit-level engine then fills its per-(tile, destination) route
-    #: table with :meth:`select` once instead of calling it per packet.
-    #: Defaults to False (safe); a subclass may only set it True when
-    #: neither :meth:`weights` nor :meth:`select` reads the context -
-    #: and must set it back to False when overriding either with a
-    #: context-dependent version.
-    context_free: bool = False
+    @property
+    def context_free(self) -> bool:
+        """Whether the policy's choices ignore the router contexts: true
+        exactly when it overrides neither :meth:`weight_columns` nor
+        :meth:`select_columns`.  Its uniform weights then make every
+        choice a pure function of ``(cur, dst)``, so the flit-level
+        engine fills its route table once and the analytical model
+        propagates once."""
+        cls = type(self)
+        return (
+            cls.weight_columns is RoutingAlgorithm.weight_columns
+            and cls.select_columns is RoutingAlgorithm.select_columns
+        )
 
     @abc.abstractmethod
     def permissible(
@@ -229,68 +160,20 @@ class RoutingAlgorithm(abc.ABC):
         Returns an empty list when ``cur == dst`` (eject locally).
         """
 
-    def weights(
-        self,
-        topo: MeshTopology,
-        cur: int,
-        dst: int,
-        ctx: RoutingContext,
-    ) -> Dict[Direction, float]:
-        """Traffic-split weights over the permissible directions.
-
-        The default policy is uniform; adaptive schemes override this.
-        Weights are positive and need not be normalised.
-        """
-        dirs = self.permissible(topo, cur, dst)
-        return {d: 1.0 for d in dirs}
-
-    def select(
-        self,
-        topo: MeshTopology,
-        cur: int,
-        dst: int,
-        ctx: RoutingContext,
-    ) -> Direction:
-        """Single-direction choice: highest weight wins, the lower port
-        code breaking a tie for determinism."""
-        weights = self.weights(topo, cur, dst, ctx)
-        if not weights:
-            return Direction.LOCAL
-        return max(weights, key=lambda d: (weights[d], -PORT_CODES[d]))
-
     def weight_columns(
         self,
         topo: MeshTopology,
         pairs: FreePairs,
         contexts: Optional[RouterContexts],
     ) -> np.ndarray:
-        """:meth:`weights` of many free pairs at once, as a ``(p, 2)``
-        array over each pair's columns (0.0 where a column is unused or
-        the policy names no weight).
+        """Traffic-split weights of many free pairs at once, as a
+        ``(p, 2)`` array over each pair's columns (0.0 where a column is
+        unused).  Weights are non-negative and need not be normalised.
 
-        ``contexts`` is None for a context-free policy.  The default
-        calls :meth:`weights` once per pair, with the shared empty
-        context or the pair's context built from ``contexts``; an
-        adaptive policy may override this with array arithmetic that
-        gives the same floats.
-
-        Raises:
-            ValueError: The weights name a direction outside
-                :meth:`permissible` at a pair.
+        ``contexts`` is None exactly for a :attr:`context_free` policy.
+        The default is uniform; adaptive schemes override this.
         """
-        out = np.zeros(pairs.codes.shape)
-        for row, (cur, dst, codes) in enumerate(
-            zip(pairs.cur.tolist(), pairs.dst.tolist(), pairs.codes.tolist())
-        ):
-            ctx = _EMPTY_CONTEXT
-            if contexts is not None:
-                ctx = contexts.pair_context(pairs, row)
-            for d, w in self.weights(topo, cur, dst, ctx).items():
-                code = PORT_CODES.get(d, -1)
-                if code < 0 or code not in codes:
-                    reject_hop(self, cur, dst, d)
-                out[row, codes.index(code)] = w
-        return out
+        return np.where(pairs.codes >= 0, 1.0, 0.0)
 
     def select_columns(
         self,
@@ -298,25 +181,13 @@ class RoutingAlgorithm(abc.ABC):
         pairs: FreePairs,
         contexts: Optional[RouterContexts],
     ) -> np.ndarray:
-        """:meth:`select` of many free pairs at once: the ``(p,)`` port
-        code chosen at each pair, every pair offering two columns.
+        """Single-direction choices of many free pairs at once: the
+        ``(p,)`` port code chosen at each pair, every pair offering two
+        columns.
 
-        The default is :meth:`select`'s own rule over one
-        :meth:`weight_columns` call: the larger weight wins and the
-        lower port code breaks a tie (weights are positive, so a column
-        the policy names beats one it leaves out).  A policy that
-        overrides :meth:`select` is asked once per pair instead.
+        The larger :meth:`weight_columns` weight wins and the lower port
+        code breaks a tie, for determinism.
         """
-        if type(self).select is not RoutingAlgorithm.select:
-            chosen = []
-            for row, (cur, dst) in enumerate(
-                zip(pairs.cur.tolist(), pairs.dst.tolist())
-            ):
-                ctx = _EMPTY_CONTEXT
-                if contexts is not None:
-                    ctx = contexts.pair_context(pairs, row)
-                chosen.append(PORT_CODES[self.select(topo, cur, dst, ctx)])
-            return np.array(chosen, np.int64)
         w = self.weight_columns(topo, pairs, contexts)
         codes = pairs.codes
         second = (w[:, 1] > w[:, 0]) | (

@@ -13,7 +13,7 @@ proxy for router switching activity), regardless of buffer state or core
 PSN.
 
 Under PSN-sensor faults ICON degrades trivially: it never consults the
-sensor network (``ctx.neighbor_psn_pct`` / ``ctx.neighbor_psn_valid``),
+sensor network (``RouterContexts.psn_pct`` / ``psn_valid``),
 so faulted sensor input is ignored by construction and the policy keeps
 its data-rate behaviour.  Dead links and routers are handled one layer
 up, in the analytical model's propagation step.
@@ -21,60 +21,31 @@ up, in the analytical model's propagation step.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from repro.noc.routing.base import (
     FreePairs,
     RouterContexts,
-    RoutingContext,
     soft_argmin_columns,
 )
 from repro.noc.routing.west_first import WestFirstRouting
-from repro.noc.topology import Direction, MeshTopology
-
-_EPS = 1e-6
+from repro.noc.topology import MeshTopology
 
 
 class IconRouting(WestFirstRouting):
     """Router-activity-balancing adaptive routing, core-agnostic."""
 
     name = "ICON"
-    # Reads neighbour data rates: must not inherit WestFirst's flag.
-    context_free = False
-
-    def weights(
-        self,
-        topo: MeshTopology,
-        cur: int,
-        dst: int,
-        ctx: RoutingContext,
-    ) -> Dict[Direction, float]:
-        dirs = self.permissible(topo, cur, dst)
-        if not dirs:
-            return {}
-        if len(dirs) == 1:
-            return {dirs[0]: 1.0}
-        rate = {d: ctx.neighbor_data_rate.get(d, 0.0) for d in dirs}
-        # Soft argmin, mirroring PANR's hardware minimum selection.
-        best = min(rate.values())
-        weights = {d: 1.0 / (rate[d] - best + 0.4) ** 2 for d in dirs}
-        # Same credit-stall gating as PANR (shared wormhole hardware).
-        return {
-            d: w * max(0.05, 1.0 - ctx.out_link_rho.get(d, 0.0))
-            for d, w in weights.items()
-        }
 
     def weight_columns(
         self,
         topo: MeshTopology,
         pairs: FreePairs,
-        contexts: Optional[RouterContexts],
+        contexts: RouterContexts,
     ) -> np.ndarray:
-        """:meth:`weights` of every free pair as one array computation."""
-        if contexts is None or type(self).weights is not IconRouting.weights:
-            return super().weight_columns(topo, pairs, contexts)
+        """Weigh the columns by their neighbours' incoming data rate: a
+        soft argmin mirroring PANR's hardware minimum selection, with
+        the same credit-stall gating (shared wormhole hardware)."""
         out = soft_argmin_columns(
             contexts.data_rate[pairs.tiles], contexts.out_rho[pairs.links]
         )

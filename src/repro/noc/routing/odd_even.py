@@ -31,7 +31,6 @@ class OddEvenRouting(RoutingAlgorithm):
     """Minimal adaptive odd-even routing (conservative variant)."""
 
     name = "OddEven"
-    context_free = True
 
     def permissible(
         self, topo: MeshTopology, cur: int, dst: int

@@ -18,9 +18,6 @@ class WestFirstRouting(RoutingAlgorithm):
     """Adaptive, minimal, deadlock-free; uniform among permitted turns."""
 
     name = "WestFirst"
-    # Uniform weights: the arg-max tie-break depends only on the
-    # permissible set, so selection is a pure function of (cur, dst).
-    context_free = True
 
     def permissible(
         self, topo: MeshTopology, cur: int, dst: int

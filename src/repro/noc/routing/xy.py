@@ -13,7 +13,6 @@ class XYRouting(RoutingAlgorithm):
     oblivious to congestion and PSN - the paper's weakest baseline."""
 
     name = "XY"
-    context_free = True
 
     def permissible(
         self, topo: MeshTopology, cur: int, dst: int

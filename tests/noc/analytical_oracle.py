@@ -2,11 +2,11 @@
 
 This is the flow model as it was before the array propagation in
 :mod:`repro.noc.analytical`: per-tile :class:`RoutingContext` objects,
-one ``weights`` call per (router, destination) pair and propagation,
-and per-flow dicts walked level by level.  It is plain enough to read
-against the model's docstring, and ``test_analytical_oracle.py`` checks
-that the array model reproduces its report bytes, ``link_rho`` order
-included.  Only tests under ``tests/noc`` can import it (pytest puts
+one scalar ``weights`` call (``routing_oracle.py``) per (router,
+destination) pair and propagation, and per-flow dicts walked level by
+level.  It is plain enough to read against the model's docstring, and
+``test_analytical_oracle.py`` checks that the array model reproduces
+its report bytes, ``link_rho`` order included.  Only tests under ``tests/noc`` can import it (pytest puts
 that directory on ``sys.path``).
 """
 
@@ -17,8 +17,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.noc.analytical import RHO_MAX, Flow, FlowStats, NocLoadReport
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
+from repro.noc.routing.base import RoutingAlgorithm
 from repro.noc.topology import Direction, MeshTopology, PORT_DIRECTIONS
+from routing_oracle import RoutingContext, weights as weights_of
 
 #: One hop out of a router: ``(outgoing link key, next tile)``.
 _Hop = Tuple[Tuple[int, Direction], int]
@@ -292,7 +293,7 @@ class OracleNocModel:
         dead_routers: Set[int],
     ) -> _Propagation:
         topo = self._topo
-        weights_of = self._routing.weights
+        routing = self._routing
         forced = self._forced
         hops_from = self._hops_from
         faulty = bool(dead_links or dead_routers)
@@ -337,7 +338,7 @@ class OracleNocModel:
                             weights = _FORCED_WEIGHTS[code]
                         else:
                             weights = weights_of(
-                                topo, node, dst, contexts[node]
+                                routing, topo, node, dst, contexts[node]
                             )
                         if faulty:
                             # Route around dead components: drop

@@ -6,9 +6,10 @@ Per cycle:
    offered rate; whole packets are queued and fed into the source
    router's LOCAL input port as space permits.
 2. **Route computation** - head flits at the front of an input FIFO
-   without an assigned output consult the routing algorithm (with the
-   live :class:`RoutingContext`: this input's occupancy, neighbouring
-   routers' measured incoming data rates, neighbouring tiles' PSN).
+   without an assigned output consult the routing algorithm's scalar
+   form in ``routing_oracle`` (with the live :class:`RoutingContext`:
+   this input's occupancy, neighbouring routers' measured incoming data
+   rates, neighbouring tiles' PSN).
 3. **Switch traversal** - one flit per output port per cycle; inputs
    compete round-robin; a flit moves only when the downstream buffer has
    a credit.  Tail flits release the wormhole reservation.
@@ -29,8 +30,9 @@ from cycle_oracle.packets import Flit, Packet
 from cycle_oracle.router import PORTS, Router
 from repro.chip.mesh import MeshGeometry
 from repro.noc.batch import NocSimStats, TrafficFlow
-from repro.noc.routing.base import RoutingAlgorithm, RoutingContext
+from repro.noc.routing.base import RoutingAlgorithm
 from repro.noc.topology import Direction, MeshTopology
+from routing_oracle import RoutingContext, select
 
 
 class CycleNocSimulator:
@@ -238,7 +240,7 @@ class CycleNocSimulator:
                 for d in out_dirs
             },
         )
-        return self._routing.select(self._topo, router.tile, flit.dst, ctx)
+        return select(self._routing, self._topo, router.tile, flit.dst, ctx)
 
     def _can_move(self, router: Router, out: Direction) -> bool:
         if out is Direction.LOCAL:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.chip.mesh import MeshGeometry
 from repro.noc.analytical import AnalyticalNocModel, Flow
+from repro.noc.batch import BatchedNocEngine, TrafficFlow
 from repro.noc.routing import (
     IconRouting,
     OddEvenRouting,
@@ -13,7 +14,7 @@ from repro.noc.routing import (
     XYRouting,
     make_routing,
 )
-from repro.noc.topology import Direction, MeshTopology
+from repro.noc.topology import PORT_CODES, Direction, MeshTopology
 
 
 @pytest.fixture(scope="module")
@@ -169,19 +170,6 @@ def distinct_expansions(topo, routing, flows):
     return pairs
 
 
-def counted_weights(routing):
-    """Wrap ``routing.weights`` on the instance; return the call list."""
-    calls = []
-    inner = routing.weights
-
-    def weights(topo, cur, dst, ctx):
-        calls.append((cur, dst))
-        return inner(topo, cur, dst, ctx)
-
-    routing.weights = weights
-    return calls
-
-
 def counted_weight_columns(routing):
     """Wrap ``routing.weight_columns`` on the instance; return one list
     of (router, destination) pairs per call."""
@@ -230,31 +218,34 @@ class TestWeightCalls:
         flows = self.overlapping_flows(topo.mesh.tile_count)
         expected = distinct_expansions(topo, routing, flows)
         free = self.free_pairs(topo, routing, expected)
-        calls = counted_weights(routing)
+        calls = counted_weight_columns(routing)
         model(topo, routing, iterations=4).evaluate(flows)
-        # Forced pairs take {D: 1.0} from the table without a call.
-        assert len(calls) == len(free)
-        assert set(calls) == free
+        # One propagation, one call; forced pairs take 1.0 on their one
+        # column from the table without asking the policy.
+        if not free:
+            assert calls == []
+            return
+        (pairs,) = calls
+        assert len(pairs) == len(free)
+        assert set(pairs) == free
 
     @pytest.mark.parametrize("policy", [PanrRouting, IconRouting])
     def test_adaptive_policy_expands_each_pair_once_per_iteration(
         self, topo, policy
     ):
         # PANR and ICON weigh all free pairs of a propagation in one
-        # array call and never call weights() there.
+        # array call.
         routing = policy()
         flows = self.overlapping_flows(topo.mesh.tile_count)
         expected = distinct_expansions(topo, routing, flows)
         free = self.free_pairs(topo, routing, expected)
         calls = counted_weight_columns(routing)
-        singles = counted_weights(routing)
         psn = np.linspace(0.0, 6.0, topo.mesh.tile_count)
         model(topo, routing, iterations=4).evaluate(flows, psn_pct=psn)
         assert free and len(calls) == 4
         for pairs in calls:
             assert len(pairs) == len(free)
             assert set(pairs) == free
-        assert singles == []
 
 
 class TestSharedForcedHops:
@@ -277,18 +268,17 @@ class TestSharedForcedHops:
 
 
 class TestRoutingContract:
-    """A policy whose weights step outside its own ``permissible`` set
-    is rejected by name instead of looping or raising a bare KeyError."""
+    """A policy whose choice steps outside its own ``permissible`` set
+    is rejected by name instead of routing the packet there."""
 
     class Rogue(WestFirstRouting):
         name = "ROGUE"
-        context_free = False
 
         def __init__(self, direction):
             self.direction = direction
 
-        def weights(self, topo, cur, dst, ctx):
-            return {self.direction: 1.0}
+        def select_columns(self, topo, pairs, contexts):
+            return np.full(len(pairs.cur), PORT_CODES[self.direction])
 
     @pytest.mark.parametrize(
         "direction",
@@ -297,11 +287,14 @@ class TestRoutingContract:
         [Direction.WEST, Direction.NORTH, Direction.LOCAL],
     )
     def test_direction_outside_permissible_raises(self, topo, direction):
-        rogue = model(topo, self.Rogue(direction))
+        # Single choices are the flit-level engine's; the analytical
+        # model weighs each pair's permissible columns, which cannot
+        # name another direction.
+        engine = BatchedNocEngine(topo.mesh, self.Rogue(direction))
         with pytest.raises(
             ValueError, match=r"ROGUE routing at router 0 towards 7 names"
         ):
-            rogue.evaluate([Flow(0, 7, 0.2)])
+            engine.run([[TrafficFlow(0, 7, 1.0)]], 20)
 
     def test_non_minimal_permissible_raises(self, topo):
         class Detour(XYRouting):

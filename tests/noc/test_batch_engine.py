@@ -17,23 +17,21 @@ from noc_oracle import POLICIES, assert_stats_equal, band_psn, uniform_flows
 from repro.chip.mesh import MeshGeometry
 from repro.noc import BatchedNocEngine, TrafficFlow
 from repro.noc.routing import XYRouting, make_routing
-from repro.noc.topology import Direction
+from repro.noc.topology import PORT_CODES, Direction
 
 
 class _AlwaysWest(XYRouting):
-    """Adaptive-flagged policy that routes west even off the mesh.
+    """Adaptive policy that routes west even off the mesh.
 
     Two permissible directions everywhere make every decision free, so
-    each one reaches ``select`` instead of the forced-hop table.
+    each one reaches ``select_columns`` instead of the forced-hop table.
     """
-
-    context_free = False
 
     def permissible(self, topo, cur, dst):
         return [] if cur == dst else [Direction.WEST, Direction.EAST]
 
-    def select(self, topo, cur, dst, ctx):
-        return Direction.WEST
+    def select_columns(self, topo, pairs, contexts):
+        return np.full(len(pairs.cur), PORT_CODES[Direction.WEST])
 
 
 class TestLaneIdentity:

@@ -12,8 +12,9 @@ import pytest
 from repro.chip.mesh import MeshGeometry
 from repro.noc.analytical import AnalyticalNocModel, Flow
 from repro.noc.routing import PanrRouting, WestFirstRouting, XYRouting
-from repro.noc.routing.base import RoutingContext
+from repro.noc.routing.base import FREE_HOP
 from repro.noc.topology import Direction, MeshTopology
+from routing_oracle import RoutingContext, array_select, array_weights
 
 
 @pytest.fixture(scope="module")
@@ -32,18 +33,26 @@ class TestPanrSensorFallback:
     def test_fully_faulted_sensors_reduce_panr_to_xy(self, topo):
         """With every sensor reading untrusted, PANR must route exactly
         like deterministic XY at every hop (the acceptance criterion
-        for sensor-fault degradation)."""
+        for sensor-fault degradation): its forced hops are XY's, and at
+        every free hop its weights put 1.0 on XY's direction alone."""
         panr, xy = PanrRouting(), XYRouting()
         ctx = all_invalid_ctx()
+        forced = panr.forced_hops(topo)
+        want = xy.forced_hops(topo)
+        free = 0
         for cur in topo.mesh.tiles():
             for dst in topo.mesh.tiles():
-                got = panr.weights(topo, cur, dst, ctx)
-                want = xy.weights(topo, cur, dst, RoutingContext())
-                assert got == want, (cur, dst)
-                if cur != dst:
-                    assert panr.select(topo, cur, dst, ctx) == xy.select(
-                        topo, cur, dst, RoutingContext()
-                    )
+                if forced[cur, dst] != FREE_HOP:
+                    assert forced[cur, dst] == want[cur, dst], (cur, dst)
+                    continue
+                free += 1
+                (xy_dir,) = xy.permissible(topo, cur, dst)
+                got = array_weights(panr, topo, cur, dst, ctx)
+                assert got == {
+                    d: float(d is xy_dir) for d in got
+                }, (cur, dst)
+                assert array_select(panr, topo, cur, dst, ctx) is xy_dir
+        assert free > 0
 
     def test_single_untrusted_direction_triggers_fallback(self, topo):
         """One untrusted permissible direction is enough: a poisoned
@@ -54,8 +63,9 @@ class TestPanrSensorFallback:
             neighbor_psn_pct={Direction.EAST: 0.0, Direction.SOUTH: 9.0},
             neighbor_psn_valid={Direction.SOUTH: False},
         )
-        want = XYRouting().weights(topo, 0, 14, RoutingContext())
-        assert panr.weights(topo, 0, 14, ctx) == want
+        # XY goes east first.
+        want = {Direction.EAST: 1.0, Direction.SOUTH: 0.0}
+        assert array_weights(panr, topo, 0, 14, ctx) == want
 
     def test_trusted_sensors_keep_adaptive_selection(self, topo):
         """Sanity: with valid readings PANR still steers by PSN."""
@@ -63,7 +73,7 @@ class TestPanrSensorFallback:
         quiet_south = RoutingContext(
             neighbor_psn_pct={Direction.EAST: 9.0, Direction.SOUTH: 0.5},
         )
-        weights = panr.weights(topo, 0, 14, quiet_south)
+        weights = array_weights(panr, topo, 0, 14, quiet_south)
         assert weights[Direction.SOUTH] > weights[Direction.EAST]
 
     def test_xy_choice_always_permissible_under_west_first(self, topo):

@@ -2,11 +2,13 @@
 chooses.
 
 Both NoC models route such hops from ``RoutingAlgorithm.forced_hops``
-without asking the policy, which is only sound if every policy's
-``select`` and ``weights`` return that direction whatever the context.
-These tests check that contract exhaustively over every forced
-(tile, destination) pair of three meshes, check the table against
-``permissible``, and count the policy calls the table saves.
+without asking the policy, while the test oracles ask the scalar
+policies of ``routing_oracle`` at every hop.  The two agree only if
+every scalar ``select`` and ``weights`` return the forced direction
+whatever the context.  These tests check that exhaustively over every
+forced (tile, destination) pair of three meshes, check the table
+against ``permissible``, and check that the engine asks the policy's
+array methods for exactly the free decisions.
 """
 
 import numpy as np
@@ -24,13 +26,14 @@ from repro.noc.routing import (
     WestFirstRouting,
     XYRouting,
 )
-from repro.noc.routing.base import FREE_HOP, RoutingContext
+from repro.noc.routing.base import FREE_HOP
 from repro.noc.topology import (
     MESH_DIRECTIONS,
     PORT_CODES,
     Direction,
     MeshTopology,
 )
+from routing_oracle import RoutingContext, select, weights
 
 POLICIES = {
     "xy": XYRouting,
@@ -101,8 +104,8 @@ def test_forced_pairs_ignore_every_context(policy, width, height):
             assert table[cur, dst] == PORT_CODES[forced]
             forced_pairs += 1
             for ctx in contexts:
-                assert routing.select(topo, cur, dst, ctx) is forced
-                assert routing.weights(topo, cur, dst, ctx) == {forced: 1.0}
+                assert select(routing, topo, cur, dst, ctx) is forced
+                assert weights(routing, topo, cur, dst, ctx) == {forced: 1.0}
     assert forced_pairs > 0
 
 
@@ -117,8 +120,6 @@ class TestTable:
     def test_off_mesh_forced_hop_raises_at_table_build(self):
         class WestOffMesh(XYRouting):
             """Names west as the only hop, even on the west edge."""
-
-            context_free = False
 
             def permissible(self, topo, cur, dst):
                 return [] if cur == dst else [Direction.WEST]
@@ -136,7 +137,6 @@ class TestTable:
             """Adds WEST as a third choice wherever west-first has two."""
 
             name = "SPREAD"
-            context_free = False
 
             def permissible(self, topo, cur, dst):
                 dirs = super().permissible(topo, cur, dst)
@@ -146,27 +146,13 @@ class TestTable:
             BatchedNocEngine(MeshGeometry(4, 4), Spread())
 
 
-def counted_selects(routing):
-    """Wrap ``routing.select`` on the instance; return one flag per call,
-    True where ``permissible`` left a choice."""
-    calls = []
-    inner = routing.select
-
-    def select(topo, cur, dst, ctx):
-        calls.append(len(routing.permissible(topo, cur, dst)) > 1)
-        return inner(topo, cur, dst, ctx)
-
-    routing.select = select
-    return calls
-
-
 @pytest.mark.parametrize("policy", [PanrRouting, IconRouting])
 def test_engine_calls_select_only_for_free_decisions(policy):
-    # The oracle asks the policy's select at every head-flit decision.
-    # The engine makes the same decisions but asks PANR and ICON only
-    # where permissible leaves a choice, and then without select: one
-    # weight_columns call per cycle, whose rows are exactly that
-    # cycle's free decisions over all lanes.
+    # The oracle asks the policy's scalar select at every head-flit
+    # decision.  The engine makes the same decisions but asks PANR and
+    # ICON only where permissible leaves a choice: one weight_columns
+    # call per cycle, whose rows are exactly that cycle's free
+    # decisions over all lanes.
     mesh = MeshGeometry(6, 6)
     psn = band_psn(mesh)
     seeds = (3, 4)
@@ -176,19 +162,20 @@ def test_engine_calls_select_only_for_free_decisions(policy):
     for lane_flows in flows:
         routing = policy()
         sim = CycleNocSimulator(mesh, routing, psn_pct=psn)
-        inner = routing.select
+        inner = sim._route
 
-        def select(topo, cur, dst, ctx, sim=sim, inner=inner, r=routing):
-            oracle_calls.append(cur)
-            if len(r.permissible(topo, cur, dst)) > 1:
-                oracle_free.setdefault(sim._cycle, []).append((cur, dst))
-            return inner(topo, cur, dst, ctx)
+        def route(router, in_port, flit, sim=sim, inner=inner, r=routing):
+            cur, dst = router.tile, flit.dst
+            if cur != dst:
+                oracle_calls.append(cur)
+                if len(r.permissible(sim._topo, cur, dst)) > 1:
+                    oracle_free.setdefault(sim._cycle, []).append((cur, dst))
+            return inner(router, in_port, flit)
 
-        routing.select = select
+        sim._route = route
         sim.run(lane_flows, 300)
     routing = policy()
     engine = BatchedNocEngine(mesh, routing, n_lanes=len(seeds), psn_pct=psn)
-    engine_selects = counted_selects(routing)
     engine_free = {}
     columns = routing.weight_columns
 
@@ -201,7 +188,6 @@ def test_engine_calls_select_only_for_free_decisions(policy):
 
     routing.weight_columns = weight_columns
     engine.run(flows, 300)
-    assert engine_selects == []
     assert engine_free == {c: sorted(rows) for c, rows in oracle_free.items()}
     rows = sum(len(r) for r in engine_free.values())
     assert len(engine_free) < rows < len(oracle_calls)

@@ -1,4 +1,9 @@
-"""Tests for the routing algorithms."""
+"""Tests for the routing algorithms.
+
+Adaptive selection is checked on the array interface the NoC models
+use (``select_columns`` / ``weight_columns``), one hand-built decision
+at a time through ``routing_oracle.one_pair``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 from repro.chip.mesh import MeshGeometry
 from repro.noc.routing import (
     IconRouting,
+    OddEvenRouting,
     PanrRouting,
     WestFirstRouting,
     XYRouting,
     make_routing,
 )
-from repro.noc.routing.base import RoutingContext
-from repro.noc.topology import Direction, MeshTopology
+from repro.noc.topology import PORT_CODES, Direction, MeshTopology
+from routing_oracle import RoutingContext, array_select, array_weights
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +33,11 @@ class TestFactory:
             ("xy", XYRouting),
             ("XY", XYRouting),
             ("west-first", WestFirstRouting),
+            ("westfirst", WestFirstRouting),
             ("panr", PanrRouting),
             ("icon", IconRouting),
+            ("odd-even", OddEvenRouting),
+            ("oddeven", OddEvenRouting),
         ],
     )
     def test_known_names(self, name, cls):
@@ -103,7 +112,7 @@ class TestPanr:
             neighbor_psn_pct={Direction.EAST: 1.0, Direction.SOUTH: 6.0},
         )
         # 0 -> 14: east or south permitted; east has lower PSN.
-        assert panr.select(topo, 0, 14, ctx) is Direction.EAST
+        assert array_select(panr, topo, 0, 14, ctx) is Direction.EAST
 
     def test_high_occupancy_prefers_low_data_rate(self, topo):
         """Algorithm 3 line 5: above B, pick the least-congested."""
@@ -113,16 +122,14 @@ class TestPanr:
             neighbor_data_rate={Direction.EAST: 0.9, Direction.SOUTH: 0.1},
             neighbor_psn_pct={Direction.EAST: 1.0, Direction.SOUTH: 6.0},
         )
-        assert panr.select(topo, 0, 14, ctx) is Direction.SOUTH
+        assert array_select(panr, topo, 0, 14, ctx) is Direction.SOUTH
 
     def test_single_permitted_direction_short_circuits(self, topo):
+        # 9 -> 19 requires west regardless of noise: the hop comes from
+        # the forced-hop table, and the policy is never asked there.
         panr = PanrRouting()
-        ctx = RoutingContext(
-            buffer_occupancy=0.0,
-            neighbor_psn_pct={Direction.WEST: 99.0},
-        )
-        # 9 -> 19 requires west regardless of noise.
-        assert panr.select(topo, 9, 19, ctx) is Direction.WEST
+        assert panr.permissible(topo, 9, 19) == [Direction.WEST]
+        assert panr.forced_hops(topo)[9, 19] == PORT_CODES[Direction.WEST]
 
     def test_weights_inverse_to_metric(self, topo):
         panr = PanrRouting()
@@ -130,7 +137,7 @@ class TestPanr:
             buffer_occupancy=0.0,
             neighbor_psn_pct={Direction.EAST: 2.0, Direction.SOUTH: 4.0},
         )
-        w = panr.weights(topo, 0, 14, ctx)
+        w = array_weights(panr, topo, 0, 14, ctx)
         assert w[Direction.EAST] > w[Direction.SOUTH]
 
 
@@ -143,7 +150,7 @@ class TestIcon:
             neighbor_data_rate={Direction.EAST: 0.9, Direction.SOUTH: 0.1},
             neighbor_psn_pct={Direction.EAST: 0.1, Direction.SOUTH: 99.0},
         )
-        assert icon.select(topo, 0, 14, ctx) is Direction.SOUTH
+        assert array_select(icon, topo, 0, 14, ctx) is Direction.SOUTH
 
     def test_respects_west_first_turns(self, topo):
         icon = IconRouting()
@@ -157,5 +164,6 @@ class TestSelectDeterminism:
             buffer_occupancy=0.0,
             neighbor_psn_pct={Direction.EAST: 1.0, Direction.SOUTH: 1.0},
         )
-        picks = {panr.select(topo, 0, 14, ctx) for _ in range(5)}
-        assert len(picks) == 1
+        picks = {array_select(panr, topo, 0, 14, ctx) for _ in range(5)}
+        # Equal weights: the lower port code (EAST) wins.
+        assert picks == {Direction.EAST}

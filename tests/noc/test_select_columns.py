@@ -1,14 +1,16 @@
-"""PANR's and ICON's array selection equals their ``select``, row by row.
+"""PANR's and ICON's array selection equals their scalar ``select``, row
+by row.
 
 The flit-level engine makes all of a cycle's free head-flit decisions
 with one :meth:`RoutingAlgorithm.select_columns` call: one
 ``weight_columns`` call and an arg-max in which the lower port code
-wins a tie.  These tests compare it with ``select`` on a
-:class:`RoutingContext` built by hand for every decision, over every
-free pair of three meshes and seeded contexts built to sit on every
-decision edge: exact weight ties, adjacent floats (``np.nextafter``),
-occupancy exactly at PANR's threshold, and outgoing utilisation on
-both sides of the ``max(0.05, 1 - rho)`` gate.
+wins a tie.  These tests compare it with ``routing_oracle.select`` on
+the :class:`RoutingContext` ``routing_oracle.pair_context`` builds for
+every decision, over every free pair of three meshes and seeded
+contexts built to sit on every decision edge: exact weight ties,
+adjacent floats (``np.nextafter``), occupancy exactly at PANR's
+threshold, and outgoing utilisation on both sides of the
+``max(0.05, 1 - rho)`` gate.
 """
 
 import numpy as np
@@ -16,8 +18,9 @@ import pytest
 
 from repro.chip.mesh import MeshGeometry
 from repro.noc.routing import IconRouting, PanrRouting
-from repro.noc.routing.base import FreePairs, RouterContexts, RoutingContext
-from repro.noc.topology import PORT_CODES, PORT_DIRECTIONS, MeshTopology
+from repro.noc.routing.base import FreePairs, RouterContexts
+from repro.noc.topology import PORT_CODES, MeshTopology
+from routing_oracle import pair_context, select, weights
 
 POLICIES = {
     "panr-b0": lambda: PanrRouting(buffer_threshold=0.0),
@@ -79,21 +82,6 @@ def edge_contexts(pairs, n_tiles, seed, threshold):
     )
 
 
-def hand_context(contexts, pairs, row):
-    """The decision's :class:`RoutingContext`, as the oracle builds it
-    for the two directions a free pair offers."""
-    ctx = RoutingContext(
-        buffer_occupancy=float(contexts.occupancy[pairs.inputs[row]])
-    )
-    for col in range(2):
-        d = PORT_DIRECTIONS[pairs.codes[row, col]]
-        tile = pairs.tiles[row, col]
-        ctx.neighbor_data_rate[d] = float(contexts.data_rate[tile])
-        ctx.neighbor_psn_pct[d] = float(contexts.psn_pct[tile])
-        ctx.out_link_rho[d] = float(contexts.out_rho[pairs.links[row, col]])
-    return ctx
-
-
 @pytest.mark.parametrize("shape", MESHES)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_select_columns_equals_select(policy, shape):
@@ -109,11 +97,11 @@ def test_select_columns_equals_select(policy, shape):
         got = routing.select_columns(topo, pairs, contexts)
         for row in range(len(pairs.cur)):
             cur, dst = int(pairs.cur[row]), int(pairs.dst[row])
-            ctx = hand_context(contexts, pairs, row)
-            want = routing.select(topo, cur, dst, ctx)
+            ctx = pair_context(contexts, pairs, row)
+            want = select(routing, topo, cur, dst, ctx)
             assert got[row] == PORT_CODES[want], (seed, row)
-            weights = list(routing.weights(topo, cur, dst, ctx).values())
-            ties += weights[0] == weights[1]
+            w = list(weights(routing, topo, cur, dst, ctx).values())
+            ties += w[0] == w[1]
             at_threshold += ctx.buffer_occupancy == threshold
             gated += min(ctx.out_link_rho.values()) >= 0.95
     # The seeded contexts reach every decision edge.
@@ -147,28 +135,7 @@ def test_tie_goes_to_the_lower_port_code():
     got = routing.select_columns(topo, pairs, contexts)
     assert np.array_equal(got, pairs.codes.min(axis=1))
     for row in range(rows):
-        ctx = hand_context(contexts, pairs, row)
-        want = routing.select(topo, pairs.cur[row], pairs.dst[row], ctx)
+        ctx = pair_context(contexts, pairs, row)
+        want = select(routing, topo, pairs.cur[row], pairs.dst[row], ctx)
         assert got[row] == PORT_CODES[want]
 
-
-def test_select_override_is_asked_per_pair():
-    """A policy that overrides ``select`` gets one call per pair, with
-    the pair's own context, and no ``weight_columns`` call."""
-    calls = []
-
-    class Contrary(PanrRouting):
-        def select(self, topo, cur, dst, ctx):
-            calls.append(ctx.buffer_occupancy)
-            return self.permissible(topo, cur, dst)[-1]
-
-        def weight_columns(self, topo, pairs, contexts):
-            raise AssertionError("select overrides bypass weight_columns")
-
-    topo = MeshTopology(MeshGeometry(4, 4))
-    routing = Contrary()
-    pairs = free_pairs(topo, routing, reps=1)
-    contexts = edge_contexts(pairs, topo.mesh.tile_count, 0, 0.5)
-    got = routing.select_columns(topo, pairs, contexts)
-    assert np.array_equal(got, pairs.codes[:, 1])
-    assert calls == contexts.occupancy.tolist()

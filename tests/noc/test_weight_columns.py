@@ -1,26 +1,22 @@
-"""PANR's and ICON's array weights equal their ``weights()``, bit for bit.
+"""PANR's and ICON's array weights equal their scalar form, bit for bit.
 
 The analytical model asks :meth:`RoutingAlgorithm.weight_columns` for
 every free (router, destination) pair of a propagation at once.  PANR
-and ICON override it with array arithmetic; the base default calls
-``weights()`` once per pair.  These tests compare the two on seeded
-contexts built to sit on every decision edge: exact metric ties,
-adjacent floats (``np.nextafter``), occupancy equal to PANR's
-threshold, outgoing utilisation at and above 0.95, and untrusted
-sensors.
+and ICON override it with array arithmetic; ``routing_oracle`` keeps
+their scalar ``weights``, asked once per pair.  These tests compare the
+two on seeded contexts built to sit on every decision edge: exact
+metric ties, adjacent floats (``np.nextafter``), occupancy equal to
+PANR's threshold, outgoing utilisation at and above 0.95, and
+untrusted sensors.
 """
 
 import numpy as np
 import pytest
 
+import routing_oracle
 from repro.chip.mesh import MeshGeometry
 from repro.noc.routing import IconRouting, PanrRouting
-from repro.noc.routing.base import (
-    FREE_HOP,
-    FreePairs,
-    RouterContexts,
-    RoutingAlgorithm,
-)
+from repro.noc.routing.base import FREE_HOP, FreePairs, RouterContexts
 from repro.noc.topology import PORT_CODES, PORT_DIRECTIONS, MeshTopology
 
 POLICIES = {
@@ -88,13 +84,14 @@ def edge_contexts(n_tiles, seed, trust):
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("shape", [(4, 4), (10, 6)])
 def test_array_weights_equal_weights_calls(policy, shape, trust):
+    """``weight_columns`` equals one scalar ``weights`` call per pair."""
     topo = MeshTopology(MeshGeometry(*shape))
     routing = POLICIES[policy]()
     pairs = free_pairs(topo, routing)
     for seed in range(8):
         contexts = edge_contexts(topo.mesh.tile_count, seed, trust)
         got = routing.weight_columns(topo, pairs, contexts)
-        want = RoutingAlgorithm.weight_columns(routing, topo, pairs, contexts)
+        want = routing_oracle.weight_columns(routing, topo, pairs, contexts)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes(), seed
 
@@ -116,13 +113,21 @@ def test_contexts_hit_the_decision_edges():
 
 
 def test_subclass_weights_are_not_bypassed():
-    """A PANR subclass with its own weights() gets the per-pair default."""
+    """A PANR subclass with its own ``weight_columns`` gets its own
+    choices from ``select_columns``, and stays adaptive."""
 
     class Uniform(PanrRouting):
-        def weights(self, topo, cur, dst, ctx):
-            return {d: 2.0 for d in self.permissible(topo, cur, dst)}
+        def weight_columns(self, topo, pairs, contexts):
+            return np.full(pairs.codes.shape, 2.0)
 
     topo = MeshTopology(MeshGeometry(4, 4))
     pairs = free_pairs(topo, Uniform())
     ctx = edge_contexts(topo.mesh.tile_count, 0, "missing")
-    assert np.all(Uniform().weight_columns(topo, pairs, ctx) == 2.0)
+    routing = Uniform()
+    assert not routing.context_free
+    got = routing.select_columns(topo, pairs, ctx)
+    # Equal weights: the lower port code wins everywhere, which PANR's
+    # own weights do not give on these contexts.
+    assert np.array_equal(got, pairs.codes.min(axis=1))
+    panr = PanrRouting().select_columns(topo, pairs, ctx)
+    assert not np.array_equal(panr, got)
