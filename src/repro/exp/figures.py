@@ -26,7 +26,7 @@ from repro.exp.frameworks import FRAMEWORKS, Framework
 from repro.exp.runner import FrameworkResult, run_framework
 from repro.apps.suite import ProfileLibrary
 from repro.chip.cmp import ChipDescription, default_chip
-from repro.pdn.transient import PsnTransientAnalysis, pair_loads
+from repro.pdn.transient import PsnTransientAnalysis, analyze_nodes, pair_loads
 from repro.pdn.waveforms import ActivityBin, TileLoad
 
 #: Deadline slack used by the Fig. 6/7 runs: loose enough that no
@@ -66,25 +66,39 @@ def fig1(window_s: float = 300e-9, dt_s: float = 50e-12) -> List[Fig1Row]:
 
     The workload is a fully occupied mixed-activity domain with NoC
     traffic - the inter-core interference scenario of the paper's
-    motivation figure.
+    motivation figure.  The six nodes' domain netlists are solved as
+    blocks of one netlist (:func:`~repro.pdn.transient.analyze_nodes`);
+    each row is bit-identical to its node's lone analysis.
     """
-    rows = []
+    requests = fig1_requests(window_s, dt_s)
+    reports = analyze_nodes(requests)
+    return [
+        Fig1Row(name, vdd, report.domain_peak_pct, report.domain_avg_pct)
+        for name, (_, vdd, _), report in zip(TECHNOLOGY_ORDER, requests, reports)
+    ]
+
+
+def fig1_requests(
+    window_s: float = 300e-9, dt_s: float = 50e-12
+) -> List[Tuple[PsnTransientAnalysis, float, List[TileLoad]]]:
+    """Fig. 1's ``(analysis, vdd, loads)`` request per technology node,
+    in :data:`~repro.chip.technology.TECHNOLOGY_ORDER`."""
+    requests = []
     for name in TECHNOLOGY_ORDER:
         tech = technology(name)
         power = PowerModel(tech)
-        analysis = PsnTransientAnalysis(tech, window_s=window_s, dt_s=dt_s)
         vdd = tech.vdd_ntc
-        loads = [
-            _fig_load(power, vdd, 0.75, ActivityBin.HIGH, 2.0),
-            _fig_load(power, vdd, 0.70, ActivityBin.HIGH, 2.0),
-            _fig_load(power, vdd, 0.25, ActivityBin.LOW, 2.0),
-            _fig_load(power, vdd, 0.30, ActivityBin.LOW, 2.0),
-        ]
-        report = analysis.analyze(vdd, loads)
-        rows.append(
-            Fig1Row(name, vdd, report.domain_peak_pct, report.domain_avg_pct)
-        )
-    return rows
+        requests.append((
+            PsnTransientAnalysis(tech, window_s=window_s, dt_s=dt_s),
+            vdd,
+            [
+                _fig_load(power, vdd, 0.75, ActivityBin.HIGH, 2.0),
+                _fig_load(power, vdd, 0.70, ActivityBin.HIGH, 2.0),
+                _fig_load(power, vdd, 0.25, ActivityBin.LOW, 2.0),
+                _fig_load(power, vdd, 0.30, ActivityBin.LOW, 2.0),
+            ],
+        ))
+    return requests
 
 
 def print_fig1(rows: Optional[List[Fig1Row]] = None) -> None:

@@ -72,6 +72,12 @@ def _condition_estimate(matrix: sp.csc_matrix, lu) -> float:
 
 Waveform = Union[float, Callable[[np.ndarray], np.ndarray]]
 
+
+def union_node(block: int, node: str) -> str:
+    """Name in a :meth:`Circuit.union` of node ``node`` of block ``block``."""
+    return f"{block}/{node}"
+
+
 #: One lane of :meth:`Circuit.transient_lanes`: the current-source
 #: waveforms and the voltage-source values of one analysis (``None``
 #: keeps the netlist's own).
@@ -277,6 +283,113 @@ class Circuit:
         """Non-ground node names in insertion order."""
         return list(self._nodes)
 
+    @classmethod
+    def union(cls, blocks: Sequence["Circuit"]) -> "Circuit":
+        """The disjoint union of ``blocks`` as one netlist.
+
+        Block k's node ``name`` becomes :func:`union_node` ``(k, name)``
+        and ground is shared.  Nodes keep their insertion order and each
+        element kind its order, block after block, so block k's
+        voltage and current sources follow those of blocks ``0..k-1``
+        (one voltage source per block for a domain PDN).
+        """
+        union = cls()
+        for k, block in enumerate(blocks):
+
+            def name(node: str) -> str:
+                return node if node in (GROUND, "0") else union_node(k, node)
+
+            for node in block._nodes:
+                union._touch(name(node))
+            for r in block._resistors:
+                union.resistor(name(r.a), name(r.b), r.ohms)
+            for c in block._capacitors:
+                union.capacitor(name(c.a), name(c.b), c.farads)
+            for ind in block._inductors:
+                union.inductor(name(ind.a), name(ind.b), ind.henries)
+            for v in block._vsources:
+                union.vsource(name(v.pos), name(v.neg), v.volts)
+            for s in block._isources:
+                union.isource(name(s.frm), name(s.to), s.waveform)
+        return union
+
+    def solves_as_blocks(
+        self,
+        blocks: Sequence["Circuit"],
+        method: str,
+        dt: float,
+        max_condition: float = DEFAULT_MAX_CONDITION,
+    ) -> bool:
+        """Whether lanes of this :meth:`union` of ``blocks`` give each
+        block's own transient bit for bit.
+
+        True when the ``(method, dt)`` transient and the DC
+        factorisations of this netlist are the blocks' own placed side
+        by side - each block's row and column permutations shifted by
+        its offset, and L and U equal to the block-diagonal of the
+        blocks' factors, entry for entry - and every block's own plan
+        passes the condition guard at ``max_condition``.  Each solve of
+        the union then does each block's arithmetic exactly as the
+        block's own solve does.
+        """
+        try:
+            plans = [b._transient_plan(method, dt) for b in blocks]
+            pairs = [
+                (self._transient_plan(method, dt).lu, [p.lu for p in plans]),
+                (self._dc_factor(), [b._dc_factor() for b in blocks]),
+            ]
+        except SolverError:
+            return False
+        if not all(
+            np.isfinite(p.condition_ratio) and p.condition_ratio <= max_condition
+            for p in plans
+        ):
+            return False
+        unknowns = self._block_unknowns(blocks)
+        offsets = np.cumsum([0] + [len(u) for u in unknowns])
+        size = len(self._nodes) + len(self._inductors) + len(self._vsources)
+        if offsets[-1] != size:
+            return False
+        for whole, parts in pairs:
+            perm_r = np.empty(size, dtype=int)
+            perm_c = np.empty(size, dtype=int)
+            for idx, offset, part in zip(unknowns, offsets, parts):
+                perm_r[idx] = part.perm_r + offset
+                perm_c[idx] = part.perm_c + offset
+            if not (
+                np.array_equal(whole.perm_r, perm_r)
+                and np.array_equal(whole.perm_c, perm_c)
+            ):
+                return False
+            for factor in ("L", "U"):
+                side_by_side = sp.block_diag(
+                    [getattr(part, factor) for part in parts], format="csc"
+                )
+                if (getattr(whole, factor) != side_by_side).nnz:
+                    return False
+        return True
+
+    def _block_unknowns(self, blocks: Sequence["Circuit"]) -> List[np.ndarray]:
+        """Per block of this :meth:`union`, the union's MNA unknown of
+        each of the block's own unknowns (nodes, inductor currents, then
+        voltage-source currents)."""
+        n, n_l = len(self._nodes), len(self._inductors)
+        ind_at, vsrc_at = n, n + n_l
+        out = []
+        for k, block in enumerate(blocks):
+            b_l, b_v = len(block._inductors), len(block._vsources)
+            out.append(np.concatenate([
+                np.array(
+                    [self._nodes[union_node(k, node)] for node in block._nodes],
+                    dtype=int,
+                ),
+                np.arange(ind_at, ind_at + b_l),
+                np.arange(vsrc_at, vsrc_at + b_v),
+            ]))
+            ind_at += b_l
+            vsrc_at += b_v
+        return out
+
     def _touch(self, node: str) -> None:
         if node in (GROUND, "0"):
             return
@@ -401,6 +514,11 @@ class Circuit:
         at a time, so with ``reduce`` the memory held is about one
         window of source currents for all lanes plus one lane's result.
 
+        Analyses of different netlists (say, one domain PDN per
+        technology node) can share the loop too: solve one lane of their
+        :meth:`union`, which gives each block's own result bit for bit
+        when :meth:`solves_as_blocks` holds.
+
         A failure belongs to its lane.  The outcome of a failing lane is
         the :class:`~repro.harness.errors.SolverError` (or
         :class:`~repro.harness.errors.SolverInputError`) that a one-lane
@@ -516,7 +634,8 @@ class Circuit:
         first_volts = x[node_idx]
         failed = np.zeros(m, dtype=bool)
 
-        cap_g, ind_r = plan.cap_g[:, None], plan.ind_r[:, None]
+        # ``-ind_r * x`` negates before it multiplies: negate once.
+        cap_g, neg_ind_r = plan.cap_g[:, None], -plan.ind_r[:, None]
         cap_mat, cap_diff = plan.cap_mat, plan.cap_diff
         ind_diff, src_mat = plan.ind_diff, plan.src_mat
         lu = plan.lu
@@ -526,6 +645,9 @@ class Circuit:
         # Capacitor branch current at t=0 (zero at DC steady state).
         cap_i = np.zeros((n_cap, m))
         cap_v = cap_diff @ x
+        # History buffers the step loop rewrites in place.
+        cap_hist = np.empty((n_cap, m))
+        cap_dv = np.empty((n_cap, m))
 
         rhs_block = np.empty((block, size, m))
         states = np.empty((block, size, m))
@@ -551,20 +673,28 @@ class Circuit:
                     rhs = rhs_block[row]
                     # Capacitor history currents (Norton companion).
                     if n_cap:
-                        rhs += cap_mat @ (
-                            cap_g * cap_v + (cap_i if trap else 0.0)
-                        )
-                    # Inductor history voltages.
+                        if trap:
+                            hist = np.multiply(cap_g, cap_v, out=cap_hist)
+                            hist += cap_i
+                        else:
+                            # ``+ 0.0`` turns a -0.0 history into +0.0.
+                            hist = cap_g * cap_v + 0.0
+                        rhs += cap_mat @ hist
+                    # Inductor history voltages (backward Euler has no
+                    # ``ind_diff`` term; ``x - 0.0`` is ``x`` bit for bit).
                     if n_l:
-                        rhs[n:n + n_l] = -ind_r * x[n:n + n_l] - (
-                            (ind_diff @ x) if trap else 0.0
-                        )
+                        ind_rows = rhs[n:n + n_l]
+                        np.multiply(neg_ind_r, x[n:n + n_l], out=ind_rows)
+                        if trap:
+                            ind_rows -= ind_diff @ x
                     x = lu.solve(rhs)
                     states[row] = x
                     if n_cap:
                         new_cap_v = cap_diff @ x
                         if trap:
-                            cap_i = cap_g * (new_cap_v - cap_v) - cap_i
+                            np.subtract(new_cap_v, cap_v, out=cap_dv)
+                            cap_dv *= cap_g
+                            np.subtract(cap_dv, cap_i, out=cap_i)
                         cap_v = new_cap_v
                 bad = ~np.isfinite(states[:count]).all(axis=1)
                 if n:

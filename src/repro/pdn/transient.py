@@ -19,7 +19,7 @@ import numpy as np
 from repro.chip.technology import TechnologyNode
 from repro.harness.errors import SolverError, SolverInputError
 from repro.pdn.builder import TILE_NODES, DomainPdnBuilder
-from repro.pdn.circuit import Circuit, TransientResult
+from repro.pdn.circuit import Circuit, TransientResult, union_node
 from repro.pdn.waveforms import ActivityBin, CurrentWaveform, TileLoad
 
 #: Adaptive-timestep floor of :func:`guarded_transient`: the timestep is
@@ -212,13 +212,66 @@ class _Lane:
     """One analysis of a :class:`PsnTransientAnalysis` batch.
 
     ``outcome`` is ``None`` until the lane is solved, then the lane's
-    report or the error its first rung raised.
+    report or the error its first rung raised.  ``group`` is the
+    :func:`analyze_nodes` group the lane belongs to, if any.
     """
 
     vdd: float
     loads: Sequence[TileLoad]
     currents: List[CurrentWaveform]
     outcome: Union[None, DomainPsnReport, SolverError] = None
+    group: Optional["_NodeGroup"] = None
+
+
+class _NodeGroup:
+    """Lanes of several analysers, solved as blocks of one netlist.
+
+    :meth:`solve` runs once: it builds the disjoint union of the
+    analysers' domain circuits and, when the union factorises as the
+    blocks do (:meth:`Circuit.solves_as_blocks`), solves every lane as
+    one lane of the union and splits the kept tile voltages per block
+    into each lane's report.  A failed check or any error of the union
+    solve leaves every outcome unset, so each lane is solved by its own
+    analyser's batch and fallback ladder instead.
+    """
+
+    def __init__(self, members: Sequence[Tuple["PsnTransientAnalysis", _Lane]]):
+        self._members = list(members)
+        self._tried = False
+
+    def solve(self) -> None:
+        if self._tried:
+            return
+        self._tried = True
+        first = self._members[0][0]
+        window_s, dt_s = first._window_s, first._dt_s
+        blocks = [analysis._domain_circuit() for analysis, _ in self._members]
+        union = Circuit.union(blocks)
+        if not union.solves_as_blocks(blocks, "trapezoidal", dt_s):
+            return
+        (outcome,) = union.transient_lanes(
+            window_s,
+            dt_s,
+            [(
+                [w for _, lane in self._members for w in lane.currents],
+                [lane.vdd for _, lane in self._members],
+            )],
+            nodes=[
+                union_node(k, node)
+                for k in range(len(blocks))
+                for node in TILE_NODES
+            ],
+        )
+        if isinstance(outcome, SolverError):
+            return
+        width = len(TILE_NODES)
+        for k, (_, lane) in enumerate(self._members):
+            block = TransientResult(
+                time=outcome.time,
+                voltages=outcome.voltages[:, k * width:(k + 1) * width],
+                node_order=TILE_NODES,
+            )
+            lane.outcome = _report(lane.vdd, block, "trapezoidal", dt_s)
 
 
 def pair_loads(load_a: TileLoad, load_b: TileLoad, hops: int) -> List[TileLoad]:
@@ -251,6 +304,9 @@ class PsnTransientAnalysis:
     :meth:`analyze` call returns.  A batch holds about one window of
     four source-current traces per lane, plus one lane's assembled
     tile voltages while that lane is reduced into its report.
+    Analyses of different analysers (technology nodes) with the same
+    window and timestep run as blocks of one netlist through
+    :func:`analyze_nodes`, with the same bit-identity.
 
     Args:
         tech: Technology node (PDN parasitics).
@@ -302,10 +358,7 @@ class PsnTransientAnalysis:
         try:
             return [self.analyze(vdd, loads) for vdd, loads in requests]
         finally:
-            mine = {id(lane) for lane in lanes}
-            self._announced = [
-                lane for lane in self._announced if id(lane) not in mine
-            ]
+            self._withdraw(lanes)
 
     def analyze(
         self,
@@ -337,6 +390,8 @@ class PsnTransientAnalysis:
         lane = self._claim(vdd, loads) if apply_convention else None
         if lane is None:
             lane = self._lane(vdd, loads, apply_convention)
+        if lane.outcome is None and lane.group is not None:
+            lane.group.solve()
         if lane.outcome is None:
             self._solve(
                 [lane] + [other for other in self._announced if other.outcome is None]
@@ -371,6 +426,13 @@ class PsnTransientAnalysis:
         lanes = [self._lane(vdd, loads, True) for vdd, loads in requests]
         self._announced.extend(lanes)
         return lanes
+
+    def _withdraw(self, lanes: Sequence[_Lane]) -> None:
+        """Drop ``lanes`` from the announced lanes (claimed or not)."""
+        mine = {id(lane) for lane in lanes}
+        self._announced = [
+            lane for lane in self._announced if id(lane) not in mine
+        ]
 
     def _lane(
         self, vdd: float, loads: Sequence[TileLoad], apply_convention: bool
@@ -414,6 +476,49 @@ class PsnTransientAnalysis:
         )
         for lane, outcome in zip(lanes, outcomes):
             lane.outcome = outcome
+
+
+def analyze_nodes(
+    requests: Sequence[Tuple[PsnTransientAnalysis, float, Sequence[TileLoad]]],
+) -> List[DomainPsnReport]:
+    """Analyse domains of different analysers as blocks of one netlist.
+
+    Equivalent to ``[analysis.analyze(vdd, loads) for analysis, vdd,
+    loads in requests]``, which is what it runs after announcing every
+    request to its analyser.  When every analyser has the same window
+    and timestep, the first call solves all requests at once as one
+    lane of the disjoint union of their domain circuits (one block per
+    request, e.g. one per technology node), provided the union
+    factorises as the blocks do; each report is then bit-identical to
+    its lone :meth:`~PsnTransientAnalysis.analyze` call.  Otherwise, or
+    if the union solve fails, each request is solved by its own
+    analyser (its announced batch, then its fallback ladder), so an
+    error names that analyser's own node and step.  A failing request
+    raises from its own call and the requests still announced are
+    withdrawn.
+    """
+    requests = list(requests)
+    # Validate every request before announcing any.
+    lanes = [
+        analysis._lane(vdd, loads, True) for analysis, vdd, loads in requests
+    ]
+    for (analysis, _, _), lane in zip(requests, lanes):
+        analysis._announced.append(lane)
+    if len(requests) > 1 and len(
+        {(analysis._window_s, analysis._dt_s) for analysis, _, _ in requests}
+    ) == 1:
+        group = _NodeGroup(
+            [(analysis, lane) for (analysis, _, _), lane in zip(requests, lanes)]
+        )
+        for lane in lanes:
+            lane.group = group
+    try:
+        return [
+            analysis.analyze(vdd, loads) for analysis, vdd, loads in requests
+        ]
+    finally:
+        for (analysis, _, _), lane in zip(requests, lanes):
+            analysis._withdraw([lane])
 
 
 def _report(

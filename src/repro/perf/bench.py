@@ -13,6 +13,10 @@ against a committed baseline (see ``docs/performance.md``):
   ten analyses on a warm plan, as ten one-lane solves vs one
   ``analyze_many`` batch of lanes (every report is asserted
   bit-identical before timing);
+* ``transient_nodes_loop`` / ``transient_nodes_union`` - Fig. 1's six
+  technology-node analyses, one per warm analyser vs one
+  ``analyze_nodes`` call that solves them as blocks of one netlist
+  (every report is asserted bit-identical before timing);
 * ``pool_warmup`` / ``pool_reuse`` - first lease of the persistent
   worker pool (spawn + worker imports) vs a later lease of the
   already-warm pool (``repro.perf.pool``);
@@ -188,6 +192,7 @@ def bench_transient(quick: bool) -> Dict[str, Dict[str, Any]]:
             "meta": meta,
         },
         **_bench_transient_lanes(quick),
+        **_bench_transient_nodes(quick),
     }
 
 
@@ -214,17 +219,7 @@ def _bench_transient_lanes(quick: bool) -> Dict[str, Dict[str, Any]]:
 
     # Identity before timing: every lane's report must carry the same
     # bits as its one-lane solve.
-    for lane, (single, report) in enumerate(zip(loop(), batched())):
-        if (
-            single.peak_psn_pct.tobytes() != report.peak_psn_pct.tobytes()
-            or single.avg_psn_pct.tobytes() != report.avg_psn_pct.tobytes()
-            or (single.solver_method, single.solver_dt_s)
-            != (report.solver_method, report.solver_dt_s)
-        ):
-            raise RuntimeError(
-                f"lane-batched transient diverged from its one-lane "
-                f"solve on fig3a request {lane}"
-            )
+    _assert_same_reports(loop(), batched(), "lane-batched", "fig3a request")
 
     meta = {"window_s": window_s, "lanes": len(requests), "vdds": list(vdds)}
     return {
@@ -237,6 +232,55 @@ def _bench_transient_lanes(quick: bool) -> Dict[str, Dict[str, Any]]:
             "meta": {**meta, "note": "one analyze_many batch"},
         },
     }
+
+
+def _bench_transient_nodes(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """Fig. 1's six node analyses one per analyser vs one union solve."""
+    from repro.chip.technology import TECHNOLOGY_ORDER
+    from repro.exp.figures import fig1_requests
+    from repro.pdn.transient import analyze_nodes
+
+    window_s = 50e-9 if quick else 300e-9
+    repeats = 3 if quick else 5
+    requests = fig1_requests(window_s)
+    for analysis, vdd, loads in requests:
+        analysis.analyze(vdd, loads)  # prime each factorisation plan
+
+    def loop() -> List[Any]:
+        return [analysis.analyze(vdd, loads) for analysis, vdd, loads in requests]
+
+    def union() -> List[Any]:
+        return analyze_nodes(requests)
+
+    _assert_same_reports(loop(), union(), "node-union", "fig1 node")
+    meta = {"window_s": window_s, "nodes": list(TECHNOLOGY_ORDER)}
+    return {
+        "transient_nodes_loop": {
+            "seconds": _time_best(loop, repeats),
+            "meta": {**meta, "note": "one analyze call per warm analyser"},
+        },
+        "transient_nodes_union": {
+            "seconds": _time_best(union, repeats),
+            "meta": {**meta, "note": "one analyze_nodes call"},
+        },
+    }
+
+
+def _assert_same_reports(
+    singles: Sequence[Any], reports: Sequence[Any], path: str, what: str
+) -> None:
+    """Raise unless every report carries its one-lane solve's bits."""
+    for index, (single, report) in enumerate(zip(singles, reports)):
+        if (
+            single.peak_psn_pct.tobytes() != report.peak_psn_pct.tobytes()
+            or single.avg_psn_pct.tobytes() != report.avg_psn_pct.tobytes()
+            or (single.solver_method, single.solver_dt_s)
+            != (report.solver_method, report.solver_dt_s)
+        ):
+            raise RuntimeError(
+                f"{path} transient diverged from its one-lane solve on "
+                f"{what} {index}"
+            )
 
 
 def _probe_pool(lease: Any, workers: int) -> None:
@@ -779,6 +823,11 @@ def run_suite(
             "transient_lanes_loop",
             "transient_lanes_batched",
         ),
+        (
+            "transient_union_speedup",
+            "transient_nodes_loop",
+            "transient_nodes_union",
+        ),
         ("e2e_parallel_speedup", "e2e_sweep_serial", "e2e_sweep_parallel"),
         ("pool_reuse_speedup", "pool_warmup", "pool_reuse"),
         (
@@ -819,7 +868,11 @@ PARALLEL_SPEEDUP_GATES = (
 #: Derived speedups that must exceed 1.0x in full mode regardless of
 #: core count: batching wins by cutting python dispatch overhead inside
 #: one process, so a single-core host has no excuse.
-BATCH_SPEEDUP_GATES = ("noc_engine_batch_speedup", "transient_lanes_speedup")
+BATCH_SPEEDUP_GATES = (
+    "noc_engine_batch_speedup",
+    "transient_lanes_speedup",
+    "transient_union_speedup",
+)
 
 
 def parallel_speedup_failures(result: Dict[str, Any]) -> List[str]:

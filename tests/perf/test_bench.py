@@ -59,12 +59,15 @@ class TestPinnedWorkloads:
             "transient_solve_warm",
             "transient_lanes_loop",
             "transient_lanes_batched",
+            "transient_nodes_loop",
+            "transient_nodes_union",
         }
         for entry in result.values():
             assert entry["seconds"] > 0
-        # The lanes benchmark checks every lane's report against its
-        # one-lane solve before timing.
+        # The lanes and node-union benchmarks check every report against
+        # its one-lane solve before timing.
         assert result["transient_lanes_batched"]["meta"]["lanes"] == 10
+        assert len(result["transient_nodes_union"]["meta"]["nodes"]) == 6
 
     def test_noc_engine_bench_smoke(self):
         result = bench.bench_noc_engine(quick=True)
