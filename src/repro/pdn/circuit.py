@@ -314,11 +314,7 @@ class Circuit:
         return union
 
     def solves_as_blocks(
-        self,
-        blocks: Sequence["Circuit"],
-        method: str,
-        dt: float,
-        max_condition: float = DEFAULT_MAX_CONDITION,
+        self, blocks: Sequence["Circuit"], method: str, dt: float
     ) -> bool:
         """Whether lanes of this :meth:`union` of ``blocks`` give each
         block's own transient bit for bit.
@@ -328,7 +324,8 @@ class Circuit:
         by side - each block's row and column permutations shifted by
         its offset, and L and U equal to the block-diagonal of the
         blocks' factors, entry for entry - and every block's own plan
-        passes the condition guard at ``max_condition``.  Each solve of
+        passes the default condition guard (:data:`DEFAULT_MAX_CONDITION`)
+        that its own first solve applies.  Each solve of
         the union then does each block's arithmetic exactly as the
         block's own solve does.
         """
@@ -341,7 +338,8 @@ class Circuit:
         except SolverError:
             return False
         if not all(
-            np.isfinite(p.condition_ratio) and p.condition_ratio <= max_condition
+            np.isfinite(p.condition_ratio)
+            and p.condition_ratio <= DEFAULT_MAX_CONDITION
             for p in plans
         ):
             return False

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.pdn.circuit as circuit_mod
 from repro.chip.technology import TECHNOLOGY_ORDER, technology
 from repro.exp import figures
 from repro.harness.errors import SolverError, SolverInputError
@@ -100,12 +101,11 @@ class TestUnionFactorisation:
         assert len(union._vsources) == len(blocks)
         assert len(union._isources) == sum(len(b._isources) for b in blocks)
 
-    def test_an_ill_conditioned_block_refuses_the_union(self):
+    def test_an_ill_conditioned_block_refuses_the_union(self, monkeypatch):
         blocks = domain_blocks()
         union = Circuit.union(blocks)
-        assert not union.solves_as_blocks(
-            blocks, "trapezoidal", DT_S, max_condition=1.0
-        )
+        monkeypatch.setattr(circuit_mod, "DEFAULT_MAX_CONDITION", 1.0)
+        assert not union.solves_as_blocks(blocks, "trapezoidal", DT_S)
 
 
 class TestAnalyzeNodes:
